@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   ProcessGrid pgrid(1, 1, 1);
   ProblemParams pp;
   pp.nx = pp.ny = pp.nz = n;
-  // Environment overrides (HPGMX_FUSED, HPGMX_IDX, HPGMX_OPT, precision
-  // knobs, ...) apply; the command-line grid size wins over HPGMX_NX.
+  // Environment overrides (HPGMX_IDX, HPGMX_OPT, precision knobs, ...)
+  // apply; the command-line grid size wins over HPGMX_NX.
   BenchParams params = BenchParams::from_env();
   params.nx = params.ny = params.nz = n;
 
@@ -48,10 +48,6 @@ int main(int argc, char** argv) {
   opts.max_iters = 1000;
   opts.tol = 1e-9;
   opts.track_history = true;
-  opts.fused_passes = params.fused;
-  // HPGMX_BATCH_REDUCE=0 falls back to one allreduce per scalar (same bits,
-  // more messages); HPGMX_OVERLAP=0 disables split-phase halo exchange.
-  opts.batched_reductions = params.batched_reduce;
 
   const std::span<const double> b(hierarchy.levels[0].b.data(),
                                   hierarchy.levels[0].b.size());
@@ -94,7 +90,6 @@ int main(int argc, char** argv) {
                              hierarchy.structures[0].get(), params.opt,
                              /*tag=*/90, /*value_scale=*/1.0,
                              params.index_width);
-    a_d.set_overlap(params.overlap);
     GmresIr<TLow> gmres_ir(&a_d, &mg_low.level_op(0), &mg_low, opts);
     gmres_ir.set_scale_guard(&guard);
     return gmres_ir.solve(comm, b, std::span<double>(x_ir.data(), x_ir.size()));

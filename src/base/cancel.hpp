@@ -19,9 +19,9 @@
 // deadline), anything else deadline. Exact in double (and in float for
 // P < 2^22), so the decode is itself deterministic.
 //
-// A default SolveControl is inert: solvers test `active()` once and keep
-// their PR 8 code paths (same messages, same bytes, same bits) when no
-// deadline or token is attached.
+// A default SolveControl is inert: with no deadline or token attached the
+// solvers' ReductionLanes (core/reduction_lanes.hpp) send only their
+// payload (same messages, same bytes, same bits).
 #pragma once
 
 #include <atomic>

@@ -31,10 +31,11 @@
 // no cross-rank shared state.
 //
 // Detection rides the existing reductions: each rank contributes
-// SdcMonitor::lane() (exactly 0.0 or 1.0) as one extra lane on the batched
-// scalar allreduces — the same pattern as SolveControl::trip_lane — and
-// every rank decodes the same verdict (sum > 0) at the same iteration. Zero
-// new collectives on the detection path.
+// SdcMonitor::lane() (exactly 0.0 or 1.0) as one extra lane on the solvers'
+// packed scalar allreduces (ReductionLanes, core/reduction_lanes.hpp) — the
+// same pattern as SolveControl::trip_lane — and every rank decodes the same
+// verdict (sum > 0) at the same iteration. Zero new collectives on the
+// detection path.
 #pragma once
 
 #include <bit>
@@ -315,7 +316,7 @@ class FaultInjector {
 
 /// Per-rank corruption evidence, reduced to a verdict lane. A halo checksum
 /// mismatch flags the monitor; the owning solver packs lane() onto its next
-/// batched allreduce and every rank decodes the same verdict (sum > 0).
+/// packed allreduce and every rank decodes the same verdict (sum > 0).
 /// Plain fields: one monitor per rank, touched only by that rank's thread.
 class SdcMonitor {
  public:

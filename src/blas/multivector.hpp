@@ -126,8 +126,7 @@ void gemv_n_sub(const MultiVector<T>& q, int k, std::span<const T> h,
 /// the same ordered per-kReduceBlock double partial sum as
 /// dot_span_blocked(w, w), computed from the *stored* (rounded) w values,
 /// so `gemv_n_sub_norm(...)` is bit-identical to `gemv_n_sub(...);
-/// dot_span_blocked(w, w)` for any thread count — the contract the
-/// solvers' fused/unfused toggle (HPGMX_FUSED) is tested on.
+/// dot_span_blocked(w, w)` for any thread count.
 template <typename T>
 [[nodiscard]] double gemv_n_sub_norm(const MultiVector<T>& q, int k,
                                      std::span<const T> h, std::span<T> w) {

@@ -82,10 +82,10 @@ template <typename TX, typename TY>
 }  // namespace detail
 
 /// Deterministic blocked local dot in double: per-block partials combined in
-/// index order, independent of the thread count. This is the *unfused* leg
-/// of the fused-pass pairs (spmv_dot, waxpby_norm, residual_norm2) — the
-/// fused kernels reproduce exactly these partials inside their own sweeps,
-/// which is what makes the solvers' fused/unfused toggle bit-stable.
+/// index order, independent of the thread count. The fused passes
+/// (spmv_dot, waxpby_norm, residual_norm2, gemv_n_sub_norm) reproduce
+/// exactly these partials inside their own sweeps, so each equals its
+/// kernel followed by this dot, bit for bit.
 template <typename TX, typename TY>
 [[nodiscard]] double dot_span_blocked(std::span<const TX> x,
                                       std::span<const TY> y) {

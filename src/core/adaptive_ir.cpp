@@ -62,7 +62,6 @@ AdaptiveGmresIr::AdaptiveGmresIr(const ProblemHierarchy& hierarchy,
                           : params.precision_schedule)),
       a_high_(hierarchy.levels[0].a, hierarchy.structures[0].get(), params.opt,
               /*tag=*/90, /*value_scale=*/1.0, params.index_width) {
-  a_high_.set_overlap(params_.overlap);
   // Column-index width each level's ELL kernels actually stream under the
   // configured HPGMX_IDX — realized_bytes must charge the runtime layout.
   index_bytes_.resize(hierarchy.levels.size());

@@ -110,8 +110,6 @@ ValidationResult BenchmarkDriver::run_validation(ValidationMode mode) {
   val_opts.restart = params_.restart_length;
   val_opts.max_iters = params_.validation_max_iters;
   val_opts.tol = params_.validation_tol;
-  val_opts.fused_passes = params_.fused;
-  val_opts.batched_reductions = params_.batched_reduce;
 
   // Pass 1: double-precision GMRES from a zero guess. The result depends
   // only on the problem and rank count (not on inner_precision), so it is
@@ -186,7 +184,6 @@ ValidationResult BenchmarkDriver::run_validation(ValidationMode mode) {
       DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(),
                                params_.opt, /*tag=*/90, /*value_scale=*/1.0,
                                params_.index_width);
-      a_d.set_overlap(params_.overlap);
       GmresIr<TLow> solver(&a_d, &mg_low.level_op(0), &mg_low, ir_opts);
       solver.set_scale_guard(&guard);
       AlignedVector<double> x(h.levels[0].b.size(), 0.0);
@@ -222,8 +219,6 @@ PhaseResult BenchmarkDriver::run_phase_impl(bool mixed) {
   opts.restart = params_.restart_length;
   opts.max_iters = params_.max_iters_per_solve;
   opts.tol = 0.0;  // benchmark phases run a fixed iteration count
-  opts.fused_passes = params_.fused;
-  opts.batched_reductions = params_.batched_reduce;
 
   std::vector<MotifStats> rank_stats(local);
   std::vector<double> rank_wall(local, 0.0);
@@ -262,7 +257,6 @@ PhaseResult BenchmarkDriver::run_phase_impl(bool mixed) {
       a_d = std::make_unique<DistOperator<double>>(
           h.levels[0].a, h.structures[0].get(), params_.opt, /*tag=*/90,
           /*value_scale=*/1.0, params_.index_width);
-      a_d->set_overlap(params_.overlap);
       gmres_ir = std::make_unique<GmresIr<TLow>>(a_d.get(),
                                                  &mg_low->level_op(0),
                                                  mg_low.get(), opts);

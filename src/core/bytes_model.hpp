@@ -213,7 +213,7 @@ template <typename T>
 // Fused solver passes: the reduction rides on data the producing kernel
 // already holds in registers, so the fused pass costs exactly the producing
 // kernel's traffic. What the fusion *saves* is the separate reduction sweep
-// the unfused sequence pays (dot_bytes for spmv_dot's ⟨Av,v⟩ and
+// a two-pass sequence would pay (dot_bytes for spmv_dot's ⟨Av,v⟩ and
 // waxpby_norm's / residual_norm2's ‖·‖²).
 
 /// w = A·v with ⟨w,v⟩ folded in: SpMV traffic only.

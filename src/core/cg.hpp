@@ -4,9 +4,7 @@
 // (forward+backward) Gauss–Seidel smoothing, per the HPCG specification.
 #pragma once
 
-#include <array>
 #include <cmath>
-#include <cstdint>
 
 #include "base/aligned_vector.hpp"
 #include "base/fault.hpp"
@@ -14,6 +12,7 @@
 #include "core/dist_operator.hpp"
 #include "core/gmres.hpp"
 #include "core/multigrid.hpp"
+#include "core/reduction_lanes.hpp"
 
 namespace hpgmx {
 
@@ -31,7 +30,6 @@ class SymmetricMultigrid {
                         hierarchy.structures[static_cast<std::size_t>(l)].get(),
                         params.opt, tag_base + l, /*value_scale=*/1.0,
                         params.index_width);
-      ops_.back().set_overlap(params.overlap);
     }
     r_.resize(static_cast<std::size_t>(nl));
     z_.resize(static_cast<std::size_t>(nl));
@@ -167,22 +165,18 @@ class ConjugateGradient {
 
     SolveResult result;
     result.final_precision = precision_of_v<T>;
-    const SolveControl& ctl = opts_.control;
-    const bool control_active = ctl.active();
-    TripCause trip = TripCause::None;
+    ReductionLanes<double> lanes(opts_.control, opts_.sdc.detect, monitor_);
     // SDC detection state. CG audits by recurrence-vs-true residual drift:
     // every audit_interval iterations the true ‖b − A·x‖² rides one extra
-    // lane on the existing packed reduction and is compared against the
-    // recurrence ‖r‖². The rollback point refreshes only on iterations whose
-    // audit came back clean, so a checkpoint can never capture corrupted
-    // state that a later audit would flag.
-    const bool sdc_active = opts_.sdc.detect;
+    // lane on the packed reduction and is compared against the recurrence
+    // ‖r‖². The rollback point refreshes only on iterations whose audit came
+    // back clean, so a checkpoint can never capture corrupted state that a
+    // later audit would flag.
+    SdcRollback<T> rollback(opts_.sdc, sizeof(T), monitor_);
     const double drift_limit =
         opts_.sdc.audit_drift *
         static_cast<double>(PrecisionTraits<T>::unit_roundoff);
-    bool sdc_verdict = false;
     bool restart_direction = false;
-    AlignedVector<T> ckpt_x;
     AlignedVector<T> r_audit;
     double rho0;
     {
@@ -199,72 +193,52 @@ class ConjugateGradient {
     }
     a_->residual(comm, b, std::span<T>(x_full.data(), x_full.size()),
                  std::span<T>(r.data(), r.size()));
-    if (sdc_active) {
-      ckpt_x = x_full;
+    if (rollback.active()) {
+      rollback.save(x_full);
       r_audit.assign(r.size(), T(0));
     }
-    // ‖r‖² of the initial residual; every later iteration carries the local
+    // Local ‖r‖² of the initial residual; every later iteration carries the
     // partial out of the fused residual-update pass (waxpby_norm) below.
-    // The allreduce itself runs per-scalar, or rides with ⟨r,z⟩ in one
-    // 2-double message on the batched schedule.
+    // Its allreduce rides with ⟨r,z⟩ in one packed message.
     double rho2_local;
     {
       ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
       rho2_local = dot_span_blocked(std::span<const T>(r.data(), r.size()),
                                     std::span<const T>(r.data(), r.size()));
     }
-    // Widened-by-lanes variant of an existing Sum reduction: entry 0 is
-    // bit-identical to the stand-alone scalar reduce; the conditional extra
-    // lanes carry the deadline/cancel trip vote (base/cancel.hpp), the SDC
-    // checksum verdict, and — on audit iterations — the local true-residual
-    // ‖b − A·x‖² partial. Zero new collectives; every decoded quantity is
-    // allreduce-derived, hence rank-uniform.
-    const auto reduce_lanes = [&](double value_local, bool audit_now,
-                                  double audit_local) {
-      std::array<double, 4> local{};
-      std::size_t lanes = 0;
-      local[lanes++] = value_local;
-      if (control_active) {
-        local[lanes++] = ctl.trip_lane(comm.size());
-      }
-      if (sdc_active) {
-        local[lanes++] = monitor_ != nullptr ? monitor_->lane() : 0.0;
-      }
-      if (audit_now) {
-        local[lanes++] = audit_local;
-      }
-      std::array<double, 4> global{};
-      comm.allreduce(std::span<const double>(local.data(), lanes),
-                     std::span<double>(global.data(), lanes), ReduceOp::Sum);
-      std::size_t gi = 1;
-      if (control_active) {
-        trip = SolveControl::decode_trip(global[gi++], comm.size());
-      }
-      if (sdc_active) {
-        sdc_verdict = SdcMonitor::decode(global[gi++]);
-      }
-      if (audit_now) {
-        const double drift =
-            std::abs(std::sqrt(global[gi]) - std::sqrt(global[0]));
-        if (!(drift <= drift_limit * rho0)) {
-          sdc_verdict = true;  // also catches NaN drift
-        }
-        if (!sdc_verdict && std::isfinite(global[0])) {
-          // x_full just passed a true-residual audit — refresh the rollback
-          // point before the next iteration can inject or accumulate error.
-          ckpt_x = x_full;
-        }
-      }
-      return global[0];
-    };
-    double rho2 = 0.0;
-    if (!opts_.batched_reductions) {
-      rho2 = (control_active || sdc_active)
-                 ? reduce_lanes(rho2_local, false, 0.0)
-                 : comm.allreduce_scalar(rho2_local, ReduceOp::Sum);
-    }
 
-    const auto apply_m = [&] {
+    // Restore the last audited-clean iterate, rebuild demoted operator
+    // storage (a value flip may have hit it), recompute the recurrence
+    // residual from scratch, and restart the search direction. Returns
+    // false when the recovery budget is spent.
+    const auto roll_back = [&]() -> bool {
+      if (!rollback.restore(result.recoveries, x_full)) {
+        result.status = SolveStatus::Corrupted;
+        return false;
+      }
+      a_->redemote();
+      if (mg_ != nullptr) {
+        mg_->redemote();
+      }
+      a_->residual(comm, b, std::span<T>(x_full.data(), x_full.size()),
+                   std::span<T>(r.data(), r.size()));
+      ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
+      rho2_local = dot_span_blocked(std::span<const T>(r.data(), r.size()),
+                                    std::span<const T>(r.data(), r.size()));
+      restart_direction = true;
+      return true;
+    };
+
+    double rz_old = 0.0;
+    while (result.iterations < opts_.max_iters) {
+      // Deterministic fault sites, keyed by the iteration count.
+      inject_faults(injector_, result.iterations,
+                    std::span<T>(x_full.data(), static_cast<std::size_t>(n)),
+                    *a_);
+      // z = M r sits above the convergence check so ⟨r,z⟩ shares one packed
+      // reduction with ‖r‖² (2 allreduces/iteration with spmv_dot's). The
+      // price is one speculative preconditioner application on the final
+      // (converging) iteration.
       if (mg_ != nullptr) {
         mg_->apply(comm, std::span<const T>(r.data(), r.size()),
                    std::span<T>(z.data(), z.size()));
@@ -272,137 +246,40 @@ class ConjugateGradient {
         convert_copy(std::span<const T>(r.data(), r.size()),
                      std::span<T>(z.data(), z.size()));
       }
-    };
-
-    // Restore the last audited-clean iterate, rebuild demoted operator
-    // storage (a value flip may have hit it), recompute the recurrence
-    // residual from scratch, and restart the search direction. Every input
-    // to the decision that calls this is allreduce-derived, so all ranks
-    // roll back (or exhaust the budget) together. Returns false when the
-    // recovery budget is spent — the caller breaks with status Corrupted.
-    const auto rollback = [&]() -> bool {
-      ++result.recoveries;
-      if (result.recoveries > opts_.sdc.max_recoveries) {
-        result.status = SolveStatus::Corrupted;
-        return false;
-      }
-      x_full = ckpt_x;
-      a_->redemote();
-      if (mg_ != nullptr) {
-        mg_->redemote();
-      }
-      a_->residual(comm, b, std::span<T>(x_full.data(), x_full.size()),
-                   std::span<T>(r.data(), r.size()));
+      double rz_local;
       {
         ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
-        rho2_local = dot_span_blocked(std::span<const T>(r.data(), r.size()),
-                                      std::span<const T>(r.data(), r.size()));
+        rz_local = static_cast<double>(
+            dot_local(std::span<const T>(r.data(), r.size()),
+                      std::span<const T>(z.data(), z.size())));
       }
-      if (monitor_ != nullptr) {
-        monitor_->clear();
+      const bool audit_now =
+          rollback.active() && result.iterations > 0 &&
+          result.iterations % opts_.sdc.audit_interval == 0;
+      double audit_local = 0.0;
+      if (audit_now) {
+        a_->residual(comm, b, std::span<T>(x_full.data(), x_full.size()),
+                     std::span<T>(r_audit.data(), r_audit.size()));
+        ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
+        audit_local = dot_span_blocked(
+            std::span<const T>(r_audit.data(), r_audit.size()),
+            std::span<const T>(r_audit.data(), r_audit.size()));
       }
-      sdc_verdict = false;
-      restart_direction = true;
-      if (!opts_.batched_reductions) {
-        rho2 = reduce_lanes(rho2_local, false, 0.0);
+      if (audit_now) {
+        lanes.reduce(comm, {rho2_local, rz_local, audit_local});
+      } else {
+        lanes.reduce(comm, {rho2_local, rz_local});
       }
-      return true;
-    };
-
-    double rz_old = 0.0;
-    while (result.iterations < opts_.max_iters) {
-      if (injector_ != nullptr) {
-        // Deterministic fault sites, keyed by the iteration count: a bit
-        // flip in the owned iterate, or in the operator's stored values.
-        injector_->maybe_flip(
-            FaultTarget::Vec,
-            std::as_writable_bytes(
-                std::span<T>(x_full.data(), static_cast<std::size_t>(n))),
-            sizeof(T), result.iterations);
-        std::uint64_t value_draw = 0;
-        std::uint64_t bit_draw = 0;
-        if (injector_->maybe_draw(FaultTarget::Values, result.iterations,
-                                  &value_draw, &bit_draw)) {
-          a_->corrupt_value_bit(value_draw, bit_draw,
-                                injector_->config().bit);
+      const double rho2 = lanes[0];
+      const double rz = lanes[1];
+      bool corrupted = lanes.flagged();
+      if (audit_now) {
+        const double drift = std::abs(std::sqrt(lanes[2]) - std::sqrt(rho2));
+        if (!(drift <= drift_limit * rho0)) {
+          corrupted = true;  // also catches NaN drift
         }
-      }
-      double rz = 0.0;
-      if (opts_.batched_reductions) {
-        // z = M r is hoisted above the convergence check so ⟨r,z⟩ can share
-        // one 2-double reduction with ‖r‖² (3 → 2 allreduces/iteration).
-        // The elementwise rank-ordered combine makes each packed entry
-        // bit-identical to its stand-alone reduction, so iterates are
-        // unchanged; the price is one speculative preconditioner
-        // application on the final (converging) iteration.
-        apply_m();
-        double rz_local;
-        {
-          ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
-          rz_local = static_cast<double>(
-              dot_local(std::span<const T>(r.data(), r.size()),
-                        std::span<const T>(z.data(), z.size())));
-        }
-        if (control_active || sdc_active) {
-          // Extra packed lanes on the same message: trip vote, SDC verdict,
-          // and — on audit iterations — the local true-residual partial.
-          const bool audit_now =
-              sdc_active && result.iterations > 0 &&
-              result.iterations % opts_.sdc.audit_interval == 0;
-          double audit_local = 0.0;
-          if (audit_now) {
-            a_->residual(comm, b,
-                         std::span<T>(x_full.data(), x_full.size()),
-                         std::span<T>(r_audit.data(), r_audit.size()));
-            ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
-            audit_local = dot_span_blocked(
-                std::span<const T>(r_audit.data(), r_audit.size()),
-                std::span<const T>(r_audit.data(), r_audit.size()));
-          }
-          std::array<double, 5> local{};
-          std::size_t lanes = 0;
-          local[lanes++] = rho2_local;
-          local[lanes++] = rz_local;
-          if (control_active) {
-            local[lanes++] = ctl.trip_lane(comm.size());
-          }
-          if (sdc_active) {
-            local[lanes++] = monitor_ != nullptr ? monitor_->lane() : 0.0;
-          }
-          if (audit_now) {
-            local[lanes++] = audit_local;
-          }
-          std::array<double, 5> global{};
-          comm.allreduce(std::span<const double>(local.data(), lanes),
-                         std::span<double>(global.data(), lanes),
-                         ReduceOp::Sum);
-          rho2 = global[0];
-          rz = global[1];
-          std::size_t gi = 2;
-          if (control_active) {
-            trip = SolveControl::decode_trip(global[gi++], comm.size());
-          }
-          if (sdc_active) {
-            sdc_verdict = SdcMonitor::decode(global[gi++]);
-          }
-          if (audit_now) {
-            const double drift =
-                std::abs(std::sqrt(global[gi]) - std::sqrt(rho2));
-            if (!(drift <= drift_limit * rho0)) {
-              sdc_verdict = true;  // also catches NaN drift
-            }
-            if (!sdc_verdict && std::isfinite(rho2)) {
-              ckpt_x = x_full;  // audited clean — refresh the rollback point
-            }
-          }
-        } else {
-          const std::array<double, 2> local{rho2_local, rz_local};
-          std::array<double, 2> global{};
-          comm.allreduce(std::span<const double>(local.data(), local.size()),
-                         std::span<double>(global.data(), global.size()),
-                         ReduceOp::Sum);
-          rho2 = global[0];
-          rz = global[1];
+        if (!corrupted && std::isfinite(rho2)) {
+          rollback.save(x_full);  // audited clean — refresh the rollback point
         }
       }
       const double rho = std::sqrt(rho2);
@@ -410,11 +287,10 @@ class ConjugateGradient {
       if (opts_.track_history) {
         result.history.push_back(result.relative_residual);
       }
-      if (sdc_active && (sdc_verdict || !std::isfinite(rho))) {
-        // Corruption verdict (checksum lane, drift audit, or non-finite
-        // reduced norm — all rank-uniform): roll back and retry, checked
-        // before convergence so a flipped-to-tiny norm cannot fake success.
-        if (!rollback()) {
+      if (rollback.active() && (corrupted || !std::isfinite(rho))) {
+        // Checked before convergence so a flipped-to-tiny norm cannot fake
+        // success.
+        if (!roll_back()) {
           break;
         }
         continue;
@@ -423,15 +299,9 @@ class ConjugateGradient {
         result.status = SolveStatus::Converged;
         break;
       }
-      if (trip != TripCause::None) {
-        result.status = trip_status(trip);  // decoded from the reduced lane,
-        break;                              // so every rank breaks here
-      }
-      if (!opts_.batched_reductions) {
-        apply_m();
-        ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
-        rz = dot<double>(comm, std::span<const T>(r.data(), r.size()),
-                         std::span<const T>(z.data(), z.size()));
+      if (lanes.tripped()) {
+        result.status = trip_status(lanes.trip());
+        break;
       }
       if (result.iterations == 0 || restart_direction) {
         restart_direction = false;
@@ -449,20 +319,15 @@ class ConjugateGradient {
         }
       }
       rz_old = rz;
-      // w = A p with ⟨Ap, p⟩ in the same sweep (spmv_dot); the unfused leg
-      // recomputes the identical blocked dot in a second pass.
+      // w = A p with ⟨Ap, p⟩ in the same sweep.
       const double pap =
-          opts_.fused_passes
-              ? a_->spmv_dot(comm, std::span<T>(p_full.data(), p_full.size()),
-                             std::span<T>(ap.data(), ap.size()))
-              : a_->spmv_then_dot(comm,
-                                  std::span<T>(p_full.data(), p_full.size()),
-                                  std::span<T>(ap.data(), ap.size()));
-      if (sdc_active && !(pap > 0)) {
+          a_->spmv_dot(comm, std::span<T>(p_full.data(), p_full.size()),
+                       std::span<T>(ap.data(), ap.size()));
+      if (rollback.active() && !(pap > 0)) {
         // Corrupted curvature (NaN or nonpositive ⟨Ap, p⟩ after a value
         // flip). pap is allreduce-derived, hence rank-uniform — recover
         // instead of aborting the run.
-        if (!rollback()) {
+        if (!roll_back()) {
           break;
         }
         continue;
@@ -474,46 +339,14 @@ class ConjugateGradient {
         axpy(alpha, std::span<const T>(p_full.data(), static_cast<std::size_t>(n)),
              std::span<T>(x_full.data(), static_cast<std::size_t>(n)));
       }
-      // r ← r − alpha·Ap fused with the next iteration's ‖r‖² (waxpby_norm):
-      // the unfused leg runs the same WAXPBY then the same blocked dot as a
-      // separate read sweep.
+      // r ← r − alpha·Ap fused with the next iteration's ‖r‖² (waxpby_norm).
       {
         ScopedMotif sm(stats_, Motif::Vector,
                        waxpby_flops(n) + dot_flops(n));
-        const std::span<const T> rc(r.data(), r.size());
-        const std::span<const T> apc(ap.data(), ap.size());
-        if (opts_.fused_passes) {
-          rho2_local = waxpby_norm(1.0, rc, -alpha, apc,
-                                   std::span<T>(r.data(), r.size()));
-        } else {
-          waxpby(1.0, rc, -alpha, apc, std::span<T>(r.data(), r.size()));
-          rho2_local =
-              dot_span_blocked(std::span<const T>(r.data(), r.size()),
-                               std::span<const T>(r.data(), r.size()));
-        }
-      }
-      if (!opts_.batched_reductions) {
-        if (control_active || sdc_active) {
-          // The audit rides the bottom reduce here: x_full was just
-          // updated, so the true residual is compared against the fresh
-          // recurrence ‖r‖² carried in lane 0 of the same message.
-          const bool audit_now =
-              sdc_active &&
-              (result.iterations + 1) % opts_.sdc.audit_interval == 0;
-          double audit_local = 0.0;
-          if (audit_now) {
-            a_->residual(comm, b,
-                         std::span<T>(x_full.data(), x_full.size()),
-                         std::span<T>(r_audit.data(), r_audit.size()));
-            ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
-            audit_local = dot_span_blocked(
-                std::span<const T>(r_audit.data(), r_audit.size()),
-                std::span<const T>(r_audit.data(), r_audit.size()));
-          }
-          rho2 = reduce_lanes(rho2_local, audit_now, audit_local);
-        } else {
-          rho2 = comm.allreduce_scalar(rho2_local, ReduceOp::Sum);
-        }
+        rho2_local = waxpby_norm(1.0, std::span<const T>(r.data(), r.size()),
+                                 -alpha,
+                                 std::span<const T>(ap.data(), ap.size()),
+                                 std::span<T>(r.data(), r.size()));
       }
       ++result.iterations;
     }

@@ -139,14 +139,6 @@ class DistOperator {
         static_cast<unsigned char>(1u << (bit % 8));
   }
 
-  /// Enable/disable compute–communication overlap on the optimized path
-  /// (HPGMX_OVERLAP). Off substitutes a blocking exchange for begin/finish
-  /// and then runs the identical interior and boundary kernels in the
-  /// identical order, so the two settings are bit-identical — the toggle is
-  /// a pure scheduling ablation. The reference path always blocks.
-  void set_overlap(bool overlap) { overlap_ = overlap; }
-  [[nodiscard]] bool overlap() const { return overlap_; }
-
   [[nodiscard]] double value_scale() const { return value_scale_; }
 
   /// Set the demotion scale to the *absolute* value `scale`, re-demoting
@@ -183,19 +175,13 @@ class DistOperator {
       csr_spmv(csr_, std::span<const T>(x.data(), x.size()), y);
       return;
     }
-    if (overlap_) {
-      halo_exchange_.begin(comm, x, sink_);
-    } else {
-      halo_exchange_.exchange(comm, x, sink_);
-    }
+    halo_exchange_.begin(comm, x, sink_);
     const double t0 = epoch_seconds();
     ell_spmv_rows(ell_, std::span<const T>(x.data(), x.size()), y,
                   structure_->interior_rows);
     sink_->record(comm.rank(), "compute", "interior-spmv", t0,
                   epoch_seconds());
-    if (overlap_) {
-      halo_exchange_.finish(comm, sink_);
-    }
+    halo_exchange_.finish(comm, sink_);
     const double t1 = epoch_seconds();
     ell_spmv_rows(ell_, std::span<const T>(x.data(), x.size()), y,
                   structure_->boundary_rows);
@@ -205,10 +191,10 @@ class DistOperator {
 
   /// Fused y = A x with the distributed ⟨y, x⟩ over owned rows folded into
   /// the same sweep (one allreduce). The local dot is an ordered per-block
-  /// partial sum: on the reference path over row blocks, on the optimized
-  /// path interior-list partials then boundary-list partials — exactly the
-  /// sums spmv_then_dot() computes in a second pass, so the fused/unfused
-  /// solver toggle flips memory traffic without perturbing one bit.
+  /// partial sum: on the reference path dot_span_blocked(y, x) over the
+  /// owned rows, on the optimized path dot_rows_blocked over the interior
+  /// list plus the same over the boundary list — bit for bit, for any
+  /// thread count.
   [[nodiscard]] double spmv_dot(Comm& comm, std::span<T> x, std::span<T> y) {
     ScopedMotif sm(stats_, Motif::SpMV, spmv_flops(nnz()));
     if (stats_ != nullptr) {
@@ -219,20 +205,14 @@ class DistOperator {
       halo_exchange_.exchange(comm, x, sink_);
       local = csr_spmv_dot(csr_, std::span<const T>(x.data(), x.size()), y);
     } else {
-      if (overlap_) {
-        halo_exchange_.begin(comm, x, sink_);
-      } else {
-        halo_exchange_.exchange(comm, x, sink_);
-      }
+      halo_exchange_.begin(comm, x, sink_);
       const double t0 = epoch_seconds();
       const double interior = ell_spmv_rows_dot(
           ell_, std::span<const T>(x.data(), x.size()), y,
           structure_->interior_rows);
       sink_->record(comm.rank(), "compute", "interior-spmv", t0,
                     epoch_seconds());
-      if (overlap_) {
-        halo_exchange_.finish(comm, sink_);
-      }
+      halo_exchange_.finish(comm, sink_);
       const double t1 = epoch_seconds();
       const double boundary = ell_spmv_rows_dot(
           ell_, std::span<const T>(x.data(), x.size()), y,
@@ -240,29 +220,6 @@ class DistOperator {
       sink_->record(comm.rank(), "compute", "boundary-spmv", t1,
                     epoch_seconds());
       local = interior + boundary;
-    }
-    return comm.allreduce_scalar(local, ReduceOp::Sum);
-  }
-
-  /// Unfused reference sequence for spmv_dot: the product, then a second
-  /// full sweep for the dot with the same partial ordering. Same bits,
-  /// one extra pass over y and x — the solvers' fused_passes=false leg.
-  [[nodiscard]] double spmv_then_dot(Comm& comm, std::span<T> x,
-                                     std::span<T> y) {
-    spmv(comm, x, y);
-    // The extra reduction sweep is timed under the same motif the fused
-    // kernel folds it into, so fused/unfused breakdowns stay comparable.
-    ScopedMotif sm(stats_, Motif::SpMV, dot_flops(num_owned()));
-    const std::span<const T> xc(x.data(), x.size());
-    const std::span<const T> yc(y.data(), y.size());
-    double local;
-    if (opt_ == OptLevel::Reference) {
-      local = dot_span_blocked(
-          std::span<const T>(yc.data(), static_cast<std::size_t>(num_owned())),
-          std::span<const T>(xc.data(), static_cast<std::size_t>(num_owned())));
-    } else {
-      local = dot_rows_blocked(yc, xc, structure_->interior_rows) +
-              dot_rows_blocked(yc, xc, structure_->boundary_rows);
     }
     return comm.allreduce_scalar(local, ReduceOp::Sum);
   }
@@ -286,9 +243,8 @@ class DistOperator {
   }
 
   /// Local leg of residual_norm2: the same fused sweep (including the halo
-  /// exchange of x) minus the allreduce, for callers that coalesce the
-  /// reduction with other scalars (GmresIr's batched_reductions path packs
-  /// it with the correction-finite vote in one 2-double message).
+  /// exchange of x) minus the allreduce, for callers that pack the
+  /// reduction with other scalars (GmresIr's ReductionLanes sites).
   [[nodiscard]] double residual_norm2_local(Comm& comm, std::span<const T> b,
                                             std::span<T> x, std::span<T> r) {
     ScopedMotif sm(stats_, Motif::SpMV, residual_flops(nnz(), num_owned()));
@@ -298,25 +254,6 @@ class DistOperator {
     halo_exchange_.exchange(comm, x, sink_);
     return csr_residual_norm2(csr_, b, std::span<const T>(x.data(), x.size()),
                               r);
-  }
-
-  /// Unfused reference sequence for residual_norm2 (fused_passes=false leg).
-  [[nodiscard]] double residual_then_norm2(Comm& comm, std::span<const T> b,
-                                           std::span<T> x, std::span<T> r) {
-    return comm.allreduce_scalar(residual_then_norm2_local(comm, b, x, r),
-                                 ReduceOp::Sum);
-  }
-
-  /// Local leg of residual_then_norm2 (see residual_norm2_local).
-  [[nodiscard]] double residual_then_norm2_local(Comm& comm,
-                                                 std::span<const T> b,
-                                                 std::span<T> x,
-                                                 std::span<T> r) {
-    residual(comm, b, x, r);
-    ScopedMotif sm(stats_, Motif::SpMV, dot_flops(num_owned()));
-    const auto n = static_cast<std::size_t>(num_owned());
-    return dot_span_blocked(std::span<const T>(r.data(), n),
-                            std::span<const T>(r.data(), n));
   }
 
   /// One forward Gauss–Seidel sweep on A z = r. z is full-length; its halo
@@ -335,17 +272,11 @@ class DistOperator {
                          std::span<T>(scratch_.data(), scratch_.size()));
       return;
     }
-    if (overlap_) {
-      halo_exchange_.begin(comm, z, sink_);  // packs old z first (the "event")
-    } else {
-      halo_exchange_.exchange(comm, z, sink_);
-    }
+    halo_exchange_.begin(comm, z, sink_);  // packs old z first (the "event")
     const double t0 = epoch_seconds();
     gs_sweep_rows_ell(ell_, structure_->colors_interior.group(0), r, z);
     sink_->record(comm.rank(), "compute", "GS-int-c0", t0, epoch_seconds());
-    if (overlap_) {
-      halo_exchange_.finish(comm, sink_);
-    }
+    halo_exchange_.finish(comm, sink_);
     const double t1 = epoch_seconds();
     gs_sweep_rows_ell(ell_, structure_->colors_boundary.group(0), r, z);
     for (int c = 1; c < structure_->colors_interior.num_groups(); ++c) {
@@ -405,7 +336,6 @@ class DistOperator {
   EllMatrix<T> ell_;
   const OperatorStructure* structure_;
   OptLevel opt_;
-  bool overlap_ = true;
   HaloExchange<T> halo_exchange_;
   AlignedVector<T> scratch_;
   MotifStats* stats_ = nullptr;

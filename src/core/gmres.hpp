@@ -4,11 +4,8 @@
 // solver; the float instantiation is exercised by tests.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "base/aligned_vector.hpp"
@@ -20,6 +17,7 @@
 #include "core/dist_operator.hpp"
 #include "core/givens.hpp"
 #include "core/multigrid.hpp"
+#include "core/reduction_lanes.hpp"
 #include "perf/motifs.hpp"
 #include "precision/precision.hpp"
 
@@ -30,28 +28,11 @@ struct SolverOptions {
   int max_iters = 300;
   double tol = 1e-9;  ///< relative to ||b||
   bool track_history = false;
-  /// Use the single-pass fused kernels (spmv_dot, waxpby_norm,
-  /// residual_norm2) in GmresIr/CG. The unfused sequence computes the same
-  /// ordered per-block reductions in a second memory sweep, so flipping
-  /// this changes bytes moved but not one bit of the iteration — a property
-  /// tests/test_fused.cpp asserts.
-  bool fused_passes = true;
-  /// Coalesce independent per-scalar allreduces into one multi-double
-  /// message where a bit-identical pairing exists: CG packs ‖r‖² with
-  /// ⟨r,z⟩ (3 → 2 reductions/iteration), GmresIr packs the next outer ‖r‖²
-  /// with the correction-finite vote (2 → 1 reductions/cycle). The
-  /// elementwise rank-ordered allreduce makes each packed entry
-  /// bit-identical to its stand-alone reduction, so flipping this changes
-  /// message count, never iterates (tests/test_overlap.cpp asserts it).
-  /// CGS2's h1 → h2 → β chain is sequentially dependent — each reduction's
-  /// input needs the previous one's output — so its three reductions per
-  /// Arnoldi step are irreducible; gemv_t already batches each projection's
-  /// k dots into a single message.
-  bool batched_reductions = true;
   /// Cooperative cancellation/deadline control. The trip decision rides an
-  /// existing reduction as one extra packed lane (base/cancel.hpp), so all
-  /// ranks exit the same iteration; with the default (inactive) control the
-  /// solvers keep their exact control-free message schedule and bits.
+  /// existing reduction as one extra packed lane (core/reduction_lanes.hpp),
+  /// so all ranks exit the same iteration; with the default (inactive)
+  /// control the solvers keep their exact control-free message schedule and
+  /// bits.
   SolveControl control;
   /// SDC detection + recovery policy (base/fault.hpp). With detect on, the
   /// corruption verdict rides the same packed reductions as the trip lane
@@ -137,14 +118,8 @@ class Gmres {
 
     SolveResult result;
     result.final_precision = precision_of_v<T>;
-    const SolveControl& ctl = opts_.control;
-    const bool control_active = ctl.active();
-    TripCause trip = TripCause::None;
-    const bool sdc_active = opts_.sdc.detect;
-    const double growth_limit = sdc_growth_threshold(opts_.sdc, sizeof(T));
-    bool sdc_flagged = false;
-    double best_rel = std::numeric_limits<double>::infinity();
-    AlignedVector<T> ckpt_x;
+    ReductionLanes<T> lanes(opts_.control, opts_.sdc.detect, monitor_);
+    SdcRollback<T> rollback(opts_.sdc, sizeof(T), monitor_);
     std::int64_t outer_cycle = 0;
     double rho0;
     {
@@ -159,114 +134,50 @@ class Gmres {
     for (local_index_t i = 0; i < n; ++i) {
       x_full[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
     }
-    if (sdc_active) {
-      ckpt_x = x_full;  // rollback target before the first checkpoint lands
-    }
+    rollback.save(x_full);  // rollback target before the first checkpoint
 
     while (result.iterations < opts_.max_iters) {
       const std::int64_t cycle = outer_cycle++;
       // Scripted value faults enter here, before the cycle-top residual, so
       // a flip at site `cycle` is visible to this cycle's audit.
-      if (injector_ != nullptr) {
-        injector_->maybe_flip(
-            FaultTarget::Vec,
-            std::as_writable_bytes(
-                std::span<T>(x_full.data(), static_cast<std::size_t>(n))),
-            sizeof(T), cycle);
-        std::uint64_t value_draw = 0;
-        std::uint64_t bit_draw = 0;
-        if (injector_->maybe_draw(FaultTarget::Values, cycle, &value_draw,
-                                  &bit_draw)) {
-          a_->corrupt_value_bit(value_draw, bit_draw,
-                                injector_->config().bit);
-        }
-      }
-      // True residual at the top of each cycle (alg. 2/3 line 7).
+      inject_faults(injector_, cycle,
+                    std::span<T>(x_full.data(), static_cast<std::size_t>(n)),
+                    *a_);
+      // True residual at the top of each cycle (alg. 2/3 line 7); its norm
+      // carries the trip and verdict lanes.
       a_->residual(comm, b, std::span<T>(x_full.data(), x_full.size()),
                    std::span<T>(r.data(), r.size()));
       double rho;
       {
         ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
-        if (control_active || sdc_active) {
-          // Same local partial and Sum-reduction as nrm2<T>, widened by the
-          // trip and/or SDC verdict lanes: entry 0 is bit-identical to the
-          // stand-alone norm (elementwise rank-ordered combine), the extra
-          // entries carry the deadline/cancel vote and the checksum verdict
-          // at zero extra collectives.
-          const T rho2_local = static_cast<T>(
-              dot_local(std::span<const T>(r.data(), r.size()),
-                        std::span<const T>(r.data(), r.size())));
-          std::array<T, 3> local{};
-          std::size_t lanes = 0;
-          local[lanes++] = rho2_local;
-          if (control_active) {
-            local[lanes++] = static_cast<T>(ctl.trip_lane(comm.size()));
-          }
-          if (sdc_active) {
-            local[lanes++] =
-                static_cast<T>(monitor_ != nullptr ? monitor_->lane() : 0.0);
-          }
-          std::array<T, 3> global{};
-          comm.allreduce(std::span<const T>(local.data(), lanes),
-                         std::span<T>(global.data(), lanes), ReduceOp::Sum);
-          std::size_t gi = 1;
-          if (control_active) {
-            trip = SolveControl::decode_trip(
-                static_cast<double>(global[gi++]), comm.size());
-          }
-          if (sdc_active) {
-            sdc_flagged = SdcMonitor::decode(static_cast<double>(global[gi]));
-          }
-          rho = static_cast<double>(static_cast<T>(
-              std::sqrt(static_cast<double>(global[0]))));
-        } else {
-          rho = static_cast<double>(
-              nrm2<T>(comm, std::span<const T>(r.data(), r.size())));
-        }
+        lanes.reduce(comm, {static_cast<T>(dot_local(
+                               std::span<const T>(r.data(), r.size()),
+                               std::span<const T>(r.data(), r.size())))});
+        rho = static_cast<double>(
+            static_cast<T>(std::sqrt(static_cast<double>(lanes[0]))));
       }
       result.relative_residual = rho / rho0;
       if (opts_.track_history) {
         result.history.push_back(result.relative_residual);
       }
-      if (sdc_active) {
-        // Verdict first: a checksum flag during the residual exchange, a
-        // non-finite norm, or growth past the format-aware audit threshold
-        // makes this cycle's measurement untrustworthy — including an
-        // apparent convergence. All three inputs are allreduce-derived, so
-        // every rank rolls back (or gives up) at the same cycle.
-        const bool verdict =
-            sdc_flagged || !std::isfinite(rho) ||
-            (std::isfinite(best_rel) &&
-             result.relative_residual > growth_limit * best_rel);
-        if (verdict) {
-          ++result.recoveries;
-          if (result.recoveries > opts_.sdc.max_recoveries) {
-            result.status = SolveStatus::Corrupted;
-            break;
-          }
-          x_full = ckpt_x;
-          if (monitor_ != nullptr) {
-            monitor_->clear();
-          }
-          sdc_flagged = false;
-          // The rolled-back residual legitimately jumps back up; the growth
-          // baseline must be re-earned, not inherited.
-          best_rel = std::numeric_limits<double>::infinity();
-          continue;
+      // Verdict before the convergence check, so a corrupted measurement
+      // cannot fake convergence.
+      if (rollback.suspect(lanes.flagged(), rho, result.relative_residual)) {
+        if (!rollback.restore(result.recoveries, x_full)) {
+          result.status = SolveStatus::Corrupted;
+          break;
         }
-        best_rel = std::min(best_rel, result.relative_residual);
+        continue;
       }
       if (result.relative_residual < opts_.tol) {
         result.status = SolveStatus::Converged;
         break;
       }
-      if (trip != TripCause::None) {
-        result.status = trip_status(trip);  // rank-uniform: decoded from the
-        break;                              // reduced lane, never local state
+      if (lanes.tripped()) {
+        result.status = trip_status(lanes.trip());
+        break;
       }
-      if (sdc_active && cycle % opts_.sdc.checkpoint_interval == 0) {
-        ckpt_x = x_full;  // audited clean just above — safe to keep
-      }
+      rollback.save_due(cycle, x_full);  // audited clean just above
       // q1 = r / rho; the reduced RHS is e1 (scale folded into the final
       // update to keep T-precision magnitudes O(1)).
       {
@@ -296,9 +207,7 @@ class Gmres {
 
         // CGS2 with re-orthogonalization (alg. 3 lines 20–27). The ‖w‖² of
         // the normalization that follows is folded into the second
-        // projection pass (gemv_n_sub_norm) on the fused path; the unfused
-        // leg recomputes the same ordered per-block partials in a separate
-        // sweep, so the toggle changes bytes moved but not one bit.
+        // projection pass (gemv_n_sub_norm).
         double beta_sq;
         {
           ScopedMotif sm(stats_, Motif::Ortho, cgs2_flops(n, k + 1));
@@ -307,15 +216,8 @@ class Gmres {
           gemv_n_sub(q, k + 1, std::span<const T>(h1.data(), h1.size()), w);
           gemv_t(comm, q, k + 1, std::span<const T>(w.data(), w.size()),
                  std::span<T>(h2.data(), h2.size()));
-          if (opts_.fused_passes) {
-            beta_sq = gemv_n_sub_norm(
-                q, k + 1, std::span<const T>(h2.data(), h2.size()), w);
-          } else {
-            gemv_n_sub(q, k + 1, std::span<const T>(h2.data(), h2.size()), w);
-            beta_sq = dot_span_blocked(
-                std::span<const T>(w.data(), w.size()),
-                std::span<const T>(w.data(), w.size()));
-          }
+          beta_sq = gemv_n_sub_norm(
+              q, k + 1, std::span<const T>(h2.data(), h2.size()), w);
         }
         for (int j = 0; j <= k; ++j) {
           h[static_cast<std::size_t>(j)] =
@@ -381,7 +283,7 @@ class Gmres {
       (void)cycle_converged;  // verified against the true residual next cycle
     }
 
-    if (!result.converged() && trip == TripCause::None &&
+    if (!result.converged() && !lanes.tripped() &&
         result.status != SolveStatus::Corrupted) {
       // Loop left on the iteration cap: report the final true residual.
       // (A tripped exit keeps the last cycle-top residual instead: the

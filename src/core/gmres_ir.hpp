@@ -19,10 +19,8 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "base/aligned_vector.hpp"
@@ -32,6 +30,7 @@
 #include "core/givens.hpp"
 #include "core/gmres.hpp"
 #include "core/multigrid.hpp"
+#include "core/reduction_lanes.hpp"
 #include "perf/motifs.hpp"
 #include "precision/adaptive_controller.hpp"
 #include "precision/scale_guard.hpp"
@@ -113,9 +112,6 @@ class GmresIr {
 
     SolveResult result;
     result.final_precision = precision_of_v<TLow>;
-    const SolveControl& ctl = opts_.control;
-    const bool control_active = ctl.active();
-    TripCause trip = TripCause::None;
     double rho0;
     {
       ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
@@ -130,104 +126,41 @@ class GmresIr {
       x_full[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
     }
 
-    // SDC detection state. The checkpoint is the outer state a rollback
-    // must restore exactly: the double iterate and the ScaleGuard scale
-    // (the adaptive rung is per-segment — AdaptiveGmresIr re-enters this
-    // solver per rung, so a rollback never crosses a rung boundary).
-    const bool sdc_active = opts_.sdc.detect;
-    const double growth_limit = sdc_growth_threshold(opts_.sdc, sizeof(TLow));
-    bool sdc_flagged = false;
-    double best_rel = std::numeric_limits<double>::infinity();
-    AlignedVector<double> ckpt_x;
+    ReductionLanes<double> lanes(opts_.control, opts_.sdc.detect, monitor_);
+    // The checkpoint is the outer state a rollback must restore exactly:
+    // the double iterate and the ScaleGuard scale (the adaptive rung is
+    // per-segment — AdaptiveGmresIr re-enters this solver per rung, so a
+    // rollback never crosses a rung boundary).
+    SdcRollback<double> rollback(opts_.sdc, sizeof(TLow), monitor_);
     double ckpt_scale = guard_ != nullptr ? guard_->scale() : 1.0;
+    rollback.save(x_full);  // rollback target before the first checkpoint
     std::int64_t outer_cycle = 0;
-    if (sdc_active) {
-      ckpt_x = x_full;  // rollback target before the first checkpoint lands
-    }
 
     bool aborted = false;
-    // Batched-reduction state: an accepted candidate update below already
-    // carries the next cycle's globally reduced ‖r‖² (and its residual, in
-    // r) out of the coalesced 2-double message, so the loop top skips the
-    // stand-alone recomputation on that cycle.
-    AlignedVector<double> x_next;
-    if (opts_.batched_reductions) {
-      x_next.assign(x_full.size(), 0.0);
-    }
+    // An accepted candidate update below already carries the next cycle's
+    // globally reduced ‖r‖² (and its residual, in r) out of the packed
+    // candidate message, so the loop top skips the stand-alone
+    // recomputation on that cycle.
+    AlignedVector<double> x_next(x_full.size(), 0.0);
     double rho2 = 0.0;
     bool have_rho2 = false;
     while (result.iterations < opts_.max_iters) {
       const std::int64_t cycle = outer_cycle++;
-      // Scripted value faults enter here, before the outer residual, so a
-      // flip at site `cycle` reaches this cycle's (unbatched) or the next
-      // cycle's (batched, carried ‖r‖²) audit deterministically.
-      if (injector_ != nullptr) {
-        injector_->maybe_flip(
-            FaultTarget::Vec,
-            std::as_writable_bytes(
-                std::span<double>(x_full.data(), static_cast<std::size_t>(n))),
-            sizeof(double), cycle);
-        std::uint64_t value_draw = 0;
-        std::uint64_t bit_draw = 0;
-        if (injector_->maybe_draw(FaultTarget::Values, cycle, &value_draw,
-                                  &bit_draw)) {
-          a_low_->corrupt_value_bit(value_draw, bit_draw,
-                                    injector_->config().bit);
-        }
-      }
+      // Scripted value faults enter here, before the outer residual; a flip
+      // at site `cycle` reaches the next measured ‖r‖² (this cycle's, or the
+      // next one's when the candidate message carried it) deterministically.
+      inject_faults(
+          injector_, cycle,
+          std::span<double>(x_full.data(), static_cast<std::size_t>(n)),
+          *a_low_);
       // -- outer refinement step, REQUIRED double (alg. 3 line 7), with
-      //    ‖r‖² folded into the residual sweep (fused) or recomputed in a
-      //    second bit-identical pass (unfused) --------------------------
+      //    ‖r‖² folded into the residual sweep ---------------------------
       if (!have_rho2) {
-        if (control_active || sdc_active) {
-          // Same local leg as residual_norm2 / residual_then_norm2, widened
-          // by the trip and/or SDC verdict lanes: entry 0 of the packed Sum
-          // is bit-identical to the internal scalar allreduce those entry
-          // points run, the extra entries carry the deadline/cancel vote
-          // (base/cancel.hpp) and the checksum verdict (base/fault.hpp) —
-          // both decisions cost zero additional collectives.
-          const double rho2_local =
-              opts_.fused_passes
-                  ? a_high_->residual_norm2_local(
-                        comm, b,
-                        std::span<double>(x_full.data(), x_full.size()),
-                        std::span<double>(r.data(), r.size()))
-                  : a_high_->residual_then_norm2_local(
-                        comm, b,
-                        std::span<double>(x_full.data(), x_full.size()),
-                        std::span<double>(r.data(), r.size()));
-          std::array<double, 3> local{};
-          std::size_t lanes = 0;
-          local[lanes++] = rho2_local;
-          if (control_active) {
-            local[lanes++] = ctl.trip_lane(comm.size());
-          }
-          if (sdc_active) {
-            local[lanes++] = monitor_ != nullptr ? monitor_->lane() : 0.0;
-          }
-          std::array<double, 3> global{};
-          comm.allreduce(std::span<const double>(local.data(), lanes),
-                         std::span<double>(global.data(), lanes),
-                         ReduceOp::Sum);
-          rho2 = global[0];
-          std::size_t gi = 1;
-          if (control_active) {
-            trip = SolveControl::decode_trip(global[gi++], comm.size());
-          }
-          if (sdc_active) {
-            sdc_flagged = SdcMonitor::decode(global[gi]);
-          }
-        } else {
-          rho2 = opts_.fused_passes
-                     ? a_high_->residual_norm2(
-                           comm, b,
-                           std::span<double>(x_full.data(), x_full.size()),
-                           std::span<double>(r.data(), r.size()))
-                     : a_high_->residual_then_norm2(
-                           comm, b,
-                           std::span<double>(x_full.data(), x_full.size()),
-                           std::span<double>(r.data(), r.size()));
-        }
+        lanes.reduce(comm, {a_high_->residual_norm2_local(
+                               comm, b,
+                               std::span<double>(x_full.data(), x_full.size()),
+                               std::span<double>(r.data(), r.size()))});
+        rho2 = lanes[0];
       }
       have_rho2 = false;
       const double rho = std::sqrt(rho2);
@@ -235,58 +168,35 @@ class GmresIr {
       if (opts_.track_history) {
         result.history.push_back(result.relative_residual);
       }
-      if (sdc_active) {
-        // Verdict before the convergence check: a checksum flag, a
-        // non-finite outer norm, or residual growth past the format-aware
-        // audit threshold makes this cycle's measurement untrustworthy,
-        // including an apparent convergence. Every input is
-        // allreduce-derived, so all ranks roll back (or give up) together.
-        const bool verdict =
-            sdc_flagged || !std::isfinite(rho) ||
-            (std::isfinite(best_rel) &&
-             result.relative_residual > growth_limit * best_rel);
-        if (verdict) {
-          ++result.recoveries;
-          if (result.recoveries > opts_.sdc.max_recoveries) {
-            result.status = SolveStatus::Corrupted;
-            break;
-          }
-          x_full = ckpt_x;
-          if (guard_ != nullptr) {
-            guard_->restore(ckpt_scale);
-            sync_operator_scale();
-          }
-          // Unconditional re-demotion repairs target:values corruption even
-          // when the checkpointed scale equals the live one (where
-          // set_value_scale would no-op).
-          a_low_->redemote();
-          mg_low_->redemote();
-          if (monitor_ != nullptr) {
-            monitor_->clear();
-          }
-          sdc_flagged = false;
-          // The rolled-back residual legitimately jumps back up; the
-          // growth baseline must be re-earned, not inherited.
-          best_rel = std::numeric_limits<double>::infinity();
-          continue;  // loop top recomputes ‖r‖² from the restored iterate
+      // Verdict before the convergence check, so a corrupted measurement
+      // cannot fake convergence.
+      if (rollback.suspect(lanes.flagged(), rho, result.relative_residual)) {
+        if (!rollback.restore(result.recoveries, x_full)) {
+          result.status = SolveStatus::Corrupted;
+          break;
         }
-        best_rel = std::min(best_rel, result.relative_residual);
+        if (guard_ != nullptr) {
+          guard_->restore(ckpt_scale);
+          sync_operator_scale();
+        }
+        // Unconditional re-demotion repairs target:values corruption even
+        // when the checkpointed scale equals the live one (where
+        // set_value_scale would no-op).
+        a_low_->redemote();
+        mg_low_->redemote();
+        continue;  // loop top recomputes ‖r‖² from the restored iterate
       }
       if (result.relative_residual < opts_.tol) {
         result.status = SolveStatus::Converged;
         break;
       }
-      if (trip != TripCause::None) {
-        // Decoded from the previous reduced lane, never from a local clock
-        // read, so all ranks exit this same cycle bitwise-identically; x
-        // holds the last accepted iterate. A trip outranks a pending
+      if (lanes.tripped()) {
+        // x holds the last accepted iterate. A trip outranks a pending
         // observer promotion — the caller asked us to stop, not widen.
-        result.status = trip_status(trip);
+        result.status = trip_status(lanes.trip());
         break;
       }
-      if (sdc_active && cycle % opts_.sdc.checkpoint_interval == 0) {
-        // Audited clean just above — safe to keep as the rollback target.
-        ckpt_x = x_full;
+      if (rollback.save_due(cycle, x_full)) {
         ckpt_scale = guard_ != nullptr ? guard_->scale() : 1.0;
       }
       // relative_residual is allreduce-derived, so the observer's decision
@@ -321,9 +231,8 @@ class GmresIr {
         auto w = q.column(k + 1);
         a_low_->spmv(comm, std::span<TLow>(z_full.data(), z_full.size()), w);
 
-        // ‖w‖² folds into the second CGS2 projection pass (fused) or is
-        // recomputed in a bit-identical separate sweep (unfused) — see
-        // gemv_n_sub_norm.
+        // ‖w‖² folds into the second CGS2 projection pass (see
+        // gemv_n_sub_norm).
         double beta_sq;
         {
           ScopedMotif sm(stats_, Motif::Ortho, cgs2_flops(n, k + 1));
@@ -332,16 +241,8 @@ class GmresIr {
           gemv_n_sub(q, k + 1, std::span<const TLow>(h1.data(), h1.size()), w);
           gemv_t(comm, q, k + 1, std::span<const TLow>(w.data(), w.size()),
                  std::span<TLow>(h2.data(), h2.size()));
-          if (opts_.fused_passes) {
-            beta_sq = gemv_n_sub_norm(
-                q, k + 1, std::span<const TLow>(h2.data(), h2.size()), w);
-          } else {
-            gemv_n_sub(q, k + 1, std::span<const TLow>(h2.data(), h2.size()),
-                       w);
-            beta_sq = dot_span_blocked(
-                std::span<const TLow>(w.data(), w.size()),
-                std::span<const TLow>(w.data(), w.size()));
-          }
+          beta_sq = gemv_n_sub_norm(
+              q, k + 1, std::span<const TLow>(h2.data(), h2.size()), w);
         }
         for (int j = 0; j <= k; ++j) {
           h[static_cast<std::size_t>(j)] =
@@ -428,119 +329,53 @@ class GmresIr {
       // alpha compensates the guard's matrix demotion scale: the inner
       // cycle solved (alpha A) z = r/rho, so the correction is rho·alpha·z.
       const double alpha = guard_ != nullptr ? guard_->scale() : 1.0;
-      if (!opts_.batched_reductions) {
-        // Collective vote: every rank must agree on discarding a correction,
-        // or the SPMD ranks' collective schedules (and the guard's uniform
-        // scale) would drift apart. beta/rho_est above are allreduce-derived
-        // and therefore already rank-consistent.
-        const int correction_finite = comm.allreduce_scalar(
-            all_finite(std::span<const TLow>(z_full.data(),
-                                             static_cast<std::size_t>(n)))
-                ? 1
-                : 0,
-            ReduceOp::Min);
-        if (correction_finite == 0) {
-          // Non-finite correction: never fold it into x. Promote (observer),
-          // back the scale off (guarded), or abandon the solve (unguarded).
-          if (observer_ != nullptr &&
-              observer_->observe_non_finite() == CycleAction::Promote) {
-            result.switch_requested = true;
-            break;
-          }
-          if (guard_ == nullptr || guard_->exhausted()) {
-            aborted = true;
-            break;
-          }
-          (void)guard_->on_overflow();
-          sync_operator_scale();
-          continue;
-        }
-        // Mixed-precision WAXPBY: double x += rho * alpha * low z, single
-        // pass.
+      // Apply the update to a candidate x_next (mixed-precision WAXPBY:
+      // double x += rho·alpha·low z), evaluate its outer residual locally,
+      // and let ONE packed reduction carry both the next cycle's ‖r‖² and
+      // the finite vote: each rank contributes exactly 0.0 or 1.0, so all
+      // ranks agree the correction is finite ⟺ sum == size(). Every rank
+      // must agree on discarding a correction, or the SPMD ranks' collective
+      // schedules (and the guard's uniform scale) would drift apart.
+      {
         ScopedMotif sm(stats_, Motif::Vector, waxpby_flops(n));
+        std::copy(x_full.begin(),
+                  x_full.begin() + static_cast<std::ptrdiff_t>(n),
+                  x_next.begin());
         axpy(rho * alpha,
              std::span<const TLow>(z_full.data(), static_cast<std::size_t>(n)),
-             std::span<double>(x_full.data(), static_cast<std::size_t>(n)));
-      } else {
-        // Batched schedule: apply the update to a candidate x_next (copy +
-        // the same axpy kernel as the unbatched path, so the arithmetic is
-        // instruction-identical), evaluate its outer residual locally, and
-        // let ONE 2-double Sum reduction carry both the next cycle's ‖r‖²
-        // and the finite vote — each rank contributes exactly 0.0 or 1.0,
-        // so all-finite ⟺ sum == size(), the same decision the unbatched
-        // Min-vote takes. 2 → 1 outer reductions per cycle.
-        {
-          ScopedMotif sm(stats_, Motif::Vector, waxpby_flops(n));
-          std::copy(x_full.begin(),
-                    x_full.begin() + static_cast<std::ptrdiff_t>(n),
-                    x_next.begin());
-          axpy(rho * alpha,
-               std::span<const TLow>(z_full.data(),
-                                     static_cast<std::size_t>(n)),
-               std::span<double>(x_next.data(), static_cast<std::size_t>(n)));
-        }
-        const double finite_local =
-            all_finite(std::span<const TLow>(z_full.data(),
-                                             static_cast<std::size_t>(n)))
-                ? 1.0
-                : 0.0;
-        const double rho2_cand_local =
-            opts_.fused_passes
-                ? a_high_->residual_norm2_local(
-                      comm, b, std::span<double>(x_next.data(), x_next.size()),
-                      std::span<double>(r.data(), r.size()))
-                : a_high_->residual_then_norm2_local(
-                      comm, b, std::span<double>(x_next.data(), x_next.size()),
-                      std::span<double>(r.data(), r.size()));
-        double finite_sum;
-        {
-          // Extra packed lanes: the deadline/cancel trip vote and the SDC
-          // verdict ride the same coalesced message; the loop top acts on
-          // them next cycle.
-          std::array<double, 4> local{};
-          std::size_t lanes = 0;
-          local[lanes++] = rho2_cand_local;
-          local[lanes++] = finite_local;
-          if (control_active) {
-            local[lanes++] = ctl.trip_lane(comm.size());
-          }
-          if (sdc_active) {
-            local[lanes++] = monitor_ != nullptr ? monitor_->lane() : 0.0;
-          }
-          std::array<double, 4> global{};
-          comm.allreduce(std::span<const double>(local.data(), lanes),
-                         std::span<double>(global.data(), lanes),
-                         ReduceOp::Sum);
-          rho2 = global[0];
-          finite_sum = global[1];
-          std::size_t gi = 2;
-          if (control_active) {
-            trip = SolveControl::decode_trip(global[gi++], comm.size());
-          }
-          if (sdc_active) {
-            sdc_flagged = SdcMonitor::decode(global[gi]);
-          }
-        }
-        if (finite_sum != static_cast<double>(comm.size())) {
-          // Same recovery as the unbatched vote. x is untouched; r holds
-          // the discarded candidate's residual, but have_rho2 == false
-          // makes the loop top recompute both from x.
-          if (observer_ != nullptr &&
-              observer_->observe_non_finite() == CycleAction::Promote) {
-            result.switch_requested = true;
-            break;
-          }
-          if (guard_ == nullptr || guard_->exhausted()) {
-            aborted = true;
-            break;
-          }
-          (void)guard_->on_overflow();
-          sync_operator_scale();
-          continue;
-        }
-        std::swap(x_full, x_next);
-        have_rho2 = true;
+             std::span<double>(x_next.data(), static_cast<std::size_t>(n)));
       }
+      const double finite_local =
+          all_finite(std::span<const TLow>(z_full.data(),
+                                           static_cast<std::size_t>(n)))
+              ? 1.0
+              : 0.0;
+      lanes.reduce(comm,
+                   {a_high_->residual_norm2_local(
+                        comm, b, std::span<double>(x_next.data(), x_next.size()),
+                        std::span<double>(r.data(), r.size())),
+                    finite_local});
+      rho2 = lanes[0];
+      if (lanes[1] != static_cast<double>(comm.size())) {
+        // Non-finite correction: never fold it into x. Promote (observer),
+        // back the scale off (guarded), or abandon the solve (unguarded).
+        // r holds the discarded candidate's residual, but have_rho2 ==
+        // false makes the loop top recompute both from x.
+        if (observer_ != nullptr &&
+            observer_->observe_non_finite() == CycleAction::Promote) {
+          result.switch_requested = true;
+          break;
+        }
+        if (guard_ == nullptr || guard_->exhausted()) {
+          aborted = true;
+          break;
+        }
+        (void)guard_->on_overflow();
+        sync_operator_scale();
+        continue;
+      }
+      std::swap(x_full, x_next);
+      have_rho2 = true;
       if (guard_ != nullptr) {
         (void)guard_->on_good_cycle();
         sync_operator_scale();
@@ -552,17 +387,12 @@ class GmresIr {
       // further progress is possible at this format. The caller (service
       // RetryPolicy) can re-run at a promoted precision.
       result.status = SolveStatus::NonFinite;
-    } else if (!result.converged() && trip == TripCause::None &&
+    } else if (!result.converged() && !lanes.tripped() &&
                result.status != SolveStatus::Corrupted) {
-      const double rho2 =
-          opts_.fused_passes
-              ? a_high_->residual_norm2(
-                    comm, b, std::span<double>(x_full.data(), x_full.size()),
-                    std::span<double>(r.data(), r.size()))
-              : a_high_->residual_then_norm2(
-                    comm, b, std::span<double>(x_full.data(), x_full.size()),
-                    std::span<double>(r.data(), r.size()));
-      result.relative_residual = std::sqrt(rho2) / rho0;
+      const double rho2_final = a_high_->residual_norm2(
+          comm, b, std::span<double>(x_full.data(), x_full.size()),
+          std::span<double>(r.data(), r.size()));
+      result.relative_residual = std::sqrt(rho2_final) / rho0;
       result.status = result.relative_residual < opts_.tol
                           ? SolveStatus::Converged
                           : SolveStatus::Stagnated;

@@ -209,7 +209,6 @@ class Multigrid {
                 params.index_width),
             {},
             {}};
-        lvl.op.set_overlap(params.overlap);
         const auto len = static_cast<std::size_t>(lvl.op.vec_len());
         lvl.r.assign(len, TL(0));
         lvl.z.assign(len, TL(0));

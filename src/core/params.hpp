@@ -91,29 +91,11 @@ struct BenchParams {
   /// the rank-ordered allreduce contract).
   CommBackend comm_backend = CommBackend::Thread;
 
-  /// Overlap the halo exchange with interior-row compute on the optimized
-  /// path (paper §3.2.3). Off runs the blocking exchange followed by the
-  /// same kernels over the same row lists in the same order, so the toggle
-  /// moves only wall time, never a bit (HPGMX_OVERLAP=0 for the ablation).
-  bool overlap = true;
-
-  /// Coalesce independent per-scalar solver allreduces into multi-double
-  /// reductions (CG's ‖r‖²+⟨r,z⟩ pair, GMRES-IR's candidate-residual+
-  /// finite-vote pair). The elementwise rank-ordered allreduce makes every
-  /// packed entry bit-identical to its stand-alone reduction, so this
-  /// changes message count, not iterates (HPGMX_BATCH_REDUCE=0 to disable).
-  bool batched_reduce = true;
-
   /// Column-index width of the optimized ELL format (HPGMX_IDX=auto|16|32).
   /// Auto stores 16-bit delta indices whenever the local column window fits
   /// ±32767 and falls back to 32-bit otherwise; 32 pins the uncompressed
   /// layout for ablations. Bit-identical either way — only bytes move.
   IndexWidth index_width = IndexWidth::Auto;
-
-  /// Single-pass fused solver kernels (spmv_dot / waxpby_norm /
-  /// residual_norm2). Disabling runs the bit-identical unfused sequences —
-  /// same iterates, one extra memory sweep per reduction (HPGMX_FUSED=0).
-  bool fused = true;
 
   /// Storage precision of the inner GMRES-IR cycles (the paper's fp32
   /// column by default; bf16/fp16 open the sub-32-bit territory). When a
@@ -147,8 +129,7 @@ struct BenchParams {
   /// HPGMX_PRECISION_SCHEDULE (comma-separated per-level formats, e.g.
   /// fp32,bf16,bf16 — overrides HPGMX_PRECISION with its entry format),
   /// HPGMX_OPT (reference|optimized), HPGMX_IDX (auto|16|32),
-  /// HPGMX_COMM (self|thread|mpi), HPGMX_OVERLAP (0|1),
-  /// HPGMX_BATCH_REDUCE (0|1), HPGMX_SCENARIO (+ shape knobs) and
+  /// HPGMX_COMM (self|thread|mpi), HPGMX_SCENARIO (+ shape knobs) and
   /// HPGMX_ADAPTIVE (+ _THRESHOLD/_PATIENCE/_LADDER/_START)
   /// environment overrides.
   static BenchParams from_env() {
@@ -164,7 +145,6 @@ struct BenchParams {
     p.mg_levels = static_cast<int>(env_int_or("HPGMX_MG_LEVELS", p.mg_levels));
     p.bench_seconds = env_double_or("HPGMX_BENCH_SECONDS", p.bench_seconds);
     p.gamma = env_double_or("HPGMX_GAMMA", p.gamma);
-    p.fused = env_int_or("HPGMX_FUSED", p.fused ? 1 : 0) != 0;
     p.inner_precision = precision_from_env("HPGMX_PRECISION", p.inner_precision);
     p.set_precision_schedule(schedule_from_env("HPGMX_PRECISION_SCHEDULE"));
     p.adaptive = AdaptiveConfig::from_env();
@@ -189,9 +169,6 @@ struct BenchParams {
                                      << "' is not a backend (self|thread|mpi)");
       p.comm_backend = *parsed;
     }
-    p.overlap = env_int_or("HPGMX_OVERLAP", p.overlap ? 1 : 0) != 0;
-    p.batched_reduce =
-        env_int_or("HPGMX_BATCH_REDUCE", p.batched_reduce ? 1 : 0) != 0;
     return p;
   }
 };

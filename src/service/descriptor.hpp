@@ -64,9 +64,6 @@ struct ProblemDescriptor {
   double tol = 1e-9;
   int max_iters = 500;
   int restart = 30;
-  bool fused = true;
-  bool overlap = true;
-  bool batched_reduce = true;
   /// Adaptive precision controller configuration. Part of the cache
   /// identity: an adaptive run and a static run of the same operator take
   /// different iterate trajectories, so their results must never alias.
@@ -81,13 +78,12 @@ struct ProblemDescriptor {
     std::snprintf(
         buf, sizeof(buf),
         "n=%dx%dx%d;ranks=%d;mg=%d;gamma=%.17g;seed=%llu;opt=%s;idx=%s;"
-        "solver=%s;prec=%s;tol=%.17g;maxit=%d;restart=%d;f%d;o%d;b%d",
+        "solver=%s;prec=%s;tol=%.17g;maxit=%d;restart=%d",
         static_cast<int>(nx), static_cast<int>(ny), static_cast<int>(nz),
         ranks, mg_levels, gamma,
         static_cast<unsigned long long>(coloring_seed), opt_level_name(opt),
         idx_name.c_str(), solver_kind_name(solver), prec_name.c_str(), tol,
-        max_iters, restart, fused ? 1 : 0, overlap ? 1 : 0,
-        batched_reduce ? 1 : 0);
+        max_iters, restart);
     std::string s(buf);
     s += ";scenario=";
     s += scenario.to_string();
@@ -129,9 +125,6 @@ struct ProblemDescriptor {
     p.validation_tol = tol;
     p.validation_max_iters = max_iters;
     p.restart_length = restart;
-    p.fused = fused;
-    p.overlap = overlap;
-    p.batched_reduce = batched_reduce;
     p.adaptive = adaptive;
     return p;
   }
@@ -157,9 +150,6 @@ struct ProblemDescriptor {
     d.tol = p.validation_tol;
     d.max_iters = p.validation_max_iters;
     d.restart = p.restart_length;
-    d.fused = p.fused;
-    d.overlap = p.overlap;
-    d.batched_reduce = p.batched_reduce;
     d.adaptive = p.adaptive;
     return d;
   }

@@ -228,8 +228,6 @@ void SolverService::run_attempt(
   opts.restart = d.restart;
   opts.max_iters = d.max_iters;
   opts.tol = d.tol;
-  opts.fused_passes = d.fused;
-  opts.batched_reductions = d.batched_reduce;
   opts.control = control;
   opts.sdc = cfg_.sdc;
 

@@ -18,9 +18,9 @@
 // csr_residual_norm) compute their dot/norm as *ordered per-block partial
 // sums in double*: each kEllBlockRows-row block contributes one partial,
 // combined sequentially in block order. That makes the reduction
-// deterministic for any thread count and bit-identical to the unfused
+// deterministic for any thread count and bit-identical to the two-pass
 // sequence (kernel, then dot_span_blocked/dot_rows_blocked over the same
-// blocks) — the property the solvers' fused/unfused toggle is tested on.
+// blocks); tests/test_fused.cpp checks it kernel by kernel.
 #pragma once
 
 #include <cmath>
@@ -40,12 +40,12 @@ namespace detail {
 /// Row-block size for ELL traversal: the y sub-block stays L1-resident while
 /// the slot loop streams values/columns unit-stride within the block. Also
 /// the partial-sum granularity of the fused reduction kernels — it must
-/// equal kReduceBlock (vector_ops.hpp) for the fused and unfused sequences
-/// to produce identical bits.
+/// equal kReduceBlock (vector_ops.hpp) for the fused kernels to reproduce
+/// the blocked reductions' bits.
 inline constexpr local_index_t kEllBlockRows = 1024;
 static_assert(static_cast<std::size_t>(kEllBlockRows) == kReduceBlock,
               "fused kernels and blocked reductions must share one block "
-              "size or the fused/unfused toggle stops being bit-stable");
+              "size or the fused reductions stop matching them bit for bit");
 
 /// Staged 16-bit accumulation over one contiguous ELL row block
 /// [r0, r0+len): per slot, widen the contiguous value tile and the gathered

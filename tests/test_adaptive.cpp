@@ -337,7 +337,6 @@ SolveResult solve_static_reference(const ProblemHierarchy& h,
                       params.precision_schedule, lm);
   DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
                            /*tag=*/90, 1.0, params.index_width);
-  a_d.set_overlap(params.overlap);
   GmresIr<float> solver(&a_d, &mg.level_op(0), &mg, opts);
   solver.set_scale_guard(&guard);
   return solver.solve(

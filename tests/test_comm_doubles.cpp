@@ -1,6 +1,6 @@
 // Tests for the Comm test doubles themselves, plus the properties they
 // instrument: measured halo traffic equals the bytes model (fp64 and the
-// 2-byte formats), batched solver schedules really remove allreduces without
+// 2-byte formats), packed solver reductions really remove allreduces without
 // moving a bit, and the stack tolerates a misbehaving network (FaultyComm's
 // reordered delivery and delayed completion).
 #include <gtest/gtest.h>
@@ -148,7 +148,7 @@ TEST(HaloBytesModel, HalvedValueWidthHalvesTraffic) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched reductions: fewer allreduces, identical bits
+// Packed reductions: fewer allreduces, identical bits
 // ---------------------------------------------------------------------------
 
 TEST(BatchedReductions, CgSendsFewerMessagesWithIdenticalIterates) {
@@ -156,9 +156,8 @@ TEST(BatchedReductions, CgSendsFewerMessagesWithIdenticalIterates) {
   constexpr int kIters = 8;
   std::array<std::vector<double>, 2> solutions;
   std::array<std::size_t, 2> reductions{};
-  for (const bool batched : {false, true}) {
-    const std::size_t which = batched ? 1 : 0;
-    solutions[which].clear();
+  for (const bool lanes : {false, true}) {
+    const std::size_t which = lanes ? 1 : 0;
     ThreadCommWorld::execute(kRanks, [&](Comm& comm) {
       const ProcessGrid pgrid = ProcessGrid::create(kRanks);
       ProblemParams pp;
@@ -169,7 +168,13 @@ TEST(BatchedReductions, CgSendsFewerMessagesWithIdenticalIterates) {
       SolverOptions opts;
       opts.max_iters = kIters;
       opts.tol = 0.0;  // fixed iteration count: message counts comparable
-      opts.batched_reductions = batched;
+      if (lanes) {
+        // Trip and verdict lanes (and, every audit_interval iterations, the
+        // true-residual audit) ride the packed message.
+        opts.control.deadline = Deadline::after(3600.0);
+        opts.sdc.detect = true;
+        opts.sdc.audit_interval = 4;
+      }
       ConjugateGradient<double> cg(&op, /*mg=*/nullptr, opts);
       RecordingComm rec(comm);
       AlignedVector<double> x(static_cast<std::size_t>(op.num_owned()), 0.0);
@@ -183,14 +188,14 @@ TEST(BatchedReductions, CgSendsFewerMessagesWithIdenticalIterates) {
       }
     });
   }
-  // 3 reductions/iteration drop to 2 (the packed [‖r‖², ⟨r,z⟩] message);
-  // the entry reduction is deliberately unbatched on both schedules.
-  EXPECT_EQ(reductions[0], 2u + 3u * kIters);
-  EXPECT_EQ(reductions[1], 1u + 2u * kIters);
+  // ‖b‖, then per iteration the packed [‖r‖², ⟨r,z⟩] message and spmv_dot's
+  // ⟨Ap, p⟩: 2 reductions where one allreduce per scalar would send 3.
+  EXPECT_EQ(reductions[0], 1u + 2u * kIters);
+  EXPECT_EQ(reductions[1], reductions[0]);
   ASSERT_EQ(solutions[0].size(), solutions[1].size());
   EXPECT_EQ(0, std::memcmp(solutions[0].data(), solutions[1].data(),
                            solutions[0].size() * sizeof(double)))
-      << "batching changed the iterates";
+      << "control/SDC lanes changed the iterates";
 }
 
 // ---------------------------------------------------------------------------

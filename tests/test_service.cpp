@@ -79,9 +79,6 @@ TEST(Descriptor, EveryFieldChangesTheCanonicalForm) {
   vary([](ProblemDescriptor& d) { d.tol = 1e-6; });
   vary([](ProblemDescriptor& d) { d.max_iters = 3; });
   vary([](ProblemDescriptor& d) { d.restart = 10; });
-  vary([](ProblemDescriptor& d) { d.fused = false; });
-  vary([](ProblemDescriptor& d) { d.overlap = false; });
-  vary([](ProblemDescriptor& d) { d.batched_reduce = false; });
   vary([](ProblemDescriptor& d) { d.scenario.kind = Scenario::Jump; });
   vary([](ProblemDescriptor& d) {
     d.scenario.kind = Scenario::Jump;
@@ -367,7 +364,6 @@ TEST(ManyRhs, GmresIrBatchMatchesIndependentSolvesBitwise) {
     DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
                              /*tag=*/90, /*value_scale=*/1.0,
                              params.index_width);
-    a_d.set_overlap(params.overlap);
     GmresIr<float> solver(&a_d, &mg_low.level_op(0), &mg_low, opts);
     solver.set_scale_guard(&guard);
     run(solver);
