@@ -73,28 +73,42 @@ void set_column_scaled(MultiVector<T>& q, int j, std::span<const T> v,
 
 /// h[j] = (Q[:,j], w) for j < k, batched into a single length-k allreduce in
 /// precision T. Local accumulation in T, matching the benchmark's fp32 CGS2
-/// kernels (reorthogonalization absorbs the roundoff — alg. 3 lines 24–26).
+/// kernels (reorthogonalization absorbs the roundoff — alg. 3 lines 24–26):
+/// one partial per column per kReduceBlock rows, summed in index order, so
+/// h is the same for any thread count.
 template <typename T>
 void gemv_t(Comm& comm, const MultiVector<T>& q, int k, std::span<const T> w,
             std::span<T> h) {
   HPGMX_CHECK(k >= 0 && k <= q.cols());
   HPGMX_CHECK(static_cast<int>(h.size()) >= k);
   HPGMX_CHECK(static_cast<local_index_t>(w.size()) >= q.rows());
-  AlignedVector<T> local(static_cast<std::size_t>(k), T(0));
-  const local_index_t n = q.rows();
-  for (int j = 0; j < k; ++j) {
-    const T* __restrict col = q.data() + static_cast<std::size_t>(j) *
-                                             static_cast<std::size_t>(n);
-    const T* __restrict wv = w.data();
-    accum_t<T> acc = accum_t<T>(0);
-#pragma omp parallel for schedule(static) reduction(+ : acc)
-    for (local_index_t i = 0; i < n; ++i) {
-      acc += col[i] * wv[i];
+  using Acc = accum_t<T>;
+  const auto n = static_cast<std::size_t>(q.rows());
+  const auto kk = static_cast<std::size_t>(k);
+  const std::size_t nblocks = detail::reduce_blocks(n);
+  AlignedVector<Acc> partial(nblocks * kk, Acc(0));  // [block][column]
+  const T* __restrict qd = q.data();
+  const T* __restrict wv = w.data();
+#pragma omp parallel for schedule(static)
+  for (std::size_t blk = 0; blk < nblocks; ++blk) {
+    const std::size_t i0 = blk * detail::kReduceBlock;
+    const std::size_t i1 = std::min(n, i0 + detail::kReduceBlock);
+    for (std::size_t j = 0; j < kk; ++j) {
+      const T* __restrict col = qd + j * n;
+      Acc acc = Acc(0);
+      for (std::size_t i = i0; i < i1; ++i) {
+        acc += col[i] * wv[i];
+      }
+      partial[blk * kk + j] = acc;
     }
-    local[static_cast<std::size_t>(j)] = static_cast<T>(acc);
+  }
+  AlignedVector<T> local(kk, T(0));
+  for (std::size_t j = 0; j < kk; ++j) {
+    local[j] = static_cast<T>(
+        detail::ordered_sum(partial.data() + j, nblocks, kk));
   }
   comm.allreduce(std::span<const T>(local.data(), local.size()),
-                 h.subspan(0, static_cast<std::size_t>(k)), ReduceOp::Sum);
+                 h.subspan(0, kk), ReduceOp::Sum);
 }
 
 /// w ← w − Q[:,1:k] h. One pass over w; the k basis-vector streams are read
@@ -136,8 +150,7 @@ template <typename T>
   const T* __restrict hv = h.data();
   T* __restrict wv = w.data();
   const std::size_t nblocks =
-      (static_cast<std::size_t>(n) + detail::kReduceBlock - 1) /
-      detail::kReduceBlock;
+      detail::reduce_blocks(static_cast<std::size_t>(n));
   AlignedVector<double> partial(nblocks, 0.0);
 #pragma omp parallel for schedule(static)
   for (std::size_t blk = 0; blk < nblocks; ++blk) {

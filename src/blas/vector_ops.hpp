@@ -31,11 +31,18 @@ namespace detail {
 /// SpMV+dot / residual+norm kernels produce bit-identical sums.
 inline constexpr std::size_t kReduceBlock = kConvertBlock;
 
+/// Number of kReduceBlock-sized blocks covering n elements.
+[[nodiscard]] constexpr std::size_t reduce_blocks(std::size_t n) {
+  return (n + kReduceBlock - 1) / kReduceBlock;
+}
+
 /// Sum partials in index order — deterministic for any thread count.
-[[nodiscard]] inline double ordered_sum(const double* partial, std::size_t n) {
-  double total = 0.0;
+template <typename Acc>
+[[nodiscard]] Acc ordered_sum(const Acc* partial, std::size_t n,
+                              std::size_t stride = 1) {
+  Acc total = Acc(0);
   for (std::size_t i = 0; i < n; ++i) {
-    total += partial[i];
+    total += partial[i * stride];
   }
   return total;
 }
@@ -91,8 +98,7 @@ template <typename TX, typename TY>
                                       std::span<const TY> y) {
   HPGMX_CHECK(x.size() == y.size());
   const std::size_t n = x.size();
-  const std::size_t nblocks =
-      (n + detail::kReduceBlock - 1) / detail::kReduceBlock;
+  const std::size_t nblocks = detail::reduce_blocks(n);
   AlignedVector<double> partial(nblocks, 0.0);
   const TX* __restrict xv = x.data();
   const TY* __restrict yv = y.data();
@@ -113,8 +119,7 @@ template <typename TX, typename TY>
                                       std::span<const TY> y,
                                       std::span<const local_index_t> rows) {
   const std::size_t nk = rows.size();
-  const std::size_t nblocks =
-      (nk + detail::kReduceBlock - 1) / detail::kReduceBlock;
+  const std::size_t nblocks = detail::reduce_blocks(nk);
   AlignedVector<double> partial(nblocks, 0.0);
   const TX* __restrict xv = x.data();
   const TY* __restrict yv = y.data();
@@ -137,23 +142,32 @@ template <typename TX, typename TY>
 /// Local dot product. Accumulation happens in the wider of the two storage
 /// precisions — fp32 inputs accumulate in fp32, exactly like the GPU
 /// kernels of the paper's fp32 CGS2 (the re-orthogonalization step exists
-/// to absorb precisely this roundoff). Deterministic for a fixed thread
-/// count via OpenMP's static reduction.
+/// to absorb precisely this roundoff). One partial per kReduceBlock
+/// elements, partials summed in index order: the result is the same for
+/// any thread count.
 template <typename TX, typename TY>
 [[nodiscard]] accum_t<wider_t<TX, TY>> dot_local(std::span<const TX> x,
                                                  std::span<const TY> y) {
-  // 16-bit storage promotes through float (accum_t) so the OpenMP
-  // reduction runs on a hardware type and the sum keeps its digits.
+  // 16-bit storage promotes through float (accum_t) so the sum runs on a
+  // hardware type and keeps its digits.
   using Acc = accum_t<wider_t<TX, TY>>;
   HPGMX_CHECK(x.size() == y.size());
+  const std::size_t n = x.size();
+  const std::size_t nblocks = detail::reduce_blocks(n);
+  AlignedVector<Acc> partial(nblocks, Acc(0));
   const TX* __restrict xv = x.data();
   const TY* __restrict yv = y.data();
-  Acc acc = Acc(0);
-#pragma omp parallel for schedule(static) reduction(+ : acc)
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    acc += static_cast<Acc>(xv[i]) * static_cast<Acc>(yv[i]);
+#pragma omp parallel for schedule(static)
+  for (std::size_t blk = 0; blk < nblocks; ++blk) {
+    const std::size_t i0 = blk * detail::kReduceBlock;
+    const std::size_t i1 = std::min(n, i0 + detail::kReduceBlock);
+    Acc acc = Acc(0);
+    for (std::size_t i = i0; i < i1; ++i) {
+      acc += static_cast<Acc>(xv[i]) * static_cast<Acc>(yv[i]);
+    }
+    partial[blk] = acc;
   }
-  return acc;
+  return detail::ordered_sum(partial.data(), nblocks);
 }
 
 /// Distributed dot in communication precision T (one allreduce). The fp32
@@ -217,8 +231,7 @@ template <typename S, typename TW, typename TX, typename TY>
                                  std::span<const TY> y, std::span<TW> w) {
   HPGMX_CHECK(x.size() == y.size() && x.size() == w.size());
   const std::size_t n = x.size();
-  const std::size_t nblocks =
-      (n + detail::kReduceBlock - 1) / detail::kReduceBlock;
+  const std::size_t nblocks = detail::reduce_blocks(n);
   AlignedVector<double> partial(nblocks, 0.0);
   // No __restrict: w is allowed to alias x or y (same-index in-place update).
   const TX* xv = x.data();

@@ -13,8 +13,16 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "blas/multivector.hpp"
+#include "comm/comm.hpp"
 #include "core/dist_operator.hpp"
+#include "core/gmres_ir.hpp"
 #include "core/multigrid.hpp"
 #include "grid/problem.hpp"
 #include "precision/float16.hpp"
@@ -239,6 +247,112 @@ TEST(BlockedReduction, MatchesSerialBlockedSum) {
   }
   EXPECT_EQ(expected, dot_span_blocked(std::span<const float>(x.data(), n),
                                        std::span<const float>(y.data(), n)));
+}
+
+/// Everything a thread-count change could perturb: the two non-fused local
+/// reductions in both accumulation types, and a whole fp32 GMRES-IR solve.
+struct ReductionSnapshot {
+  float dot_f32 = 0.0f;
+  double dot_f64 = 0.0;
+  std::vector<float> h_f32;
+  std::vector<double> h_f64;
+  int iterations = 0;
+  std::vector<double> history;
+  std::vector<double> x;
+};
+
+ReductionSnapshot reduce_everything(const ProblemHierarchy& h) {
+  ReductionSnapshot snap;
+  SelfComm comm;
+  // Several kReduceBlock blocks per thread at 4 threads, plus a ragged tail.
+  const std::size_t n = 9 * detail::kReduceBlock + 123;
+  AlignedVector<float> xf(n), yf(n);
+  AlignedVector<double> xd(n), yd(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xf[i] = std::sin(0.37f * static_cast<float>(i)) + 1.0e-3f;
+    yf[i] = std::cos(0.11f * static_cast<float>(i)) * 0.3f;
+    xd[i] = static_cast<double>(xf[i]) / 3.0;
+    yd[i] = static_cast<double>(yf[i]) * 7.0;
+  }
+  snap.dot_f32 = dot_local(std::span<const float>(xf.data(), n),
+                           std::span<const float>(yf.data(), n));
+  snap.dot_f64 = dot_local(std::span<const double>(xd.data(), n),
+                           std::span<const double>(yd.data(), n));
+
+  constexpr int kCols = 6;
+  MultiVector<float> qf(static_cast<local_index_t>(n), kCols);
+  MultiVector<double> qd(static_cast<local_index_t>(n), kCols);
+  for (int j = 0; j < kCols; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      qf.column(j)[i] = xf[(i + 97 * static_cast<std::size_t>(j)) % n];
+      qd.column(j)[i] = xd[(i + 97 * static_cast<std::size_t>(j)) % n];
+    }
+  }
+  snap.h_f32.assign(kCols, 0.0f);
+  snap.h_f64.assign(kCols, 0.0);
+  gemv_t(comm, qf, kCols, std::span<const float>(yf.data(), n),
+         std::span<float>(snap.h_f32.data(), kCols));
+  gemv_t(comm, qd, kCols, std::span<const double>(yd.data(), n),
+         std::span<double>(snap.h_f64.data(), kCols));
+
+  BenchParams params;
+  SolverOptions opts;
+  opts.max_iters = 500;
+  opts.tol = 1e-9;
+  opts.track_history = true;
+  Multigrid<float> mg(h, params);
+  DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
+                           /*tag=*/90);
+  GmresIr<float> solver(&a_d, &mg.level_op(0), &mg, opts);
+  snap.x.assign(h.levels[0].b.size(), 0.0);
+  const SolveResult res = solver.solve(
+      comm,
+      std::span<const double>(h.levels[0].b.data(), h.levels[0].b.size()),
+      std::span<double>(snap.x.data(), snap.x.size()));
+  EXPECT_TRUE(res.converged());
+  snap.iterations = res.iterations;
+  snap.history = res.history;
+  return snap;
+}
+
+template <typename T>
+void expect_bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  expect_bitwise_equal(std::span<const T>(a.data(), a.size()),
+                       std::span<const T>(b.data(), b.size()));
+}
+
+TEST(BlockedReduction, ResultsAreIndependentOfTheThreadCount) {
+#ifdef _OPENMP
+  const std::vector<int> thread_counts{1, 2, 4};
+  const int saved_threads = omp_get_max_threads();
+#else
+  const std::vector<int> thread_counts{1};  // serial build: one setting
+#endif
+  BenchParams params;
+  const ProblemHierarchy h = make_hierarchy(16, params);
+  std::vector<ReductionSnapshot> snaps;
+  for (const int threads : thread_counts) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    (void)threads;
+    snaps.push_back(reduce_everything(h));
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+  const ReductionSnapshot& ref = snaps.front();
+  for (std::size_t t = 1; t < snaps.size(); ++t) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << thread_counts[t]);
+    const ReductionSnapshot& s = snaps[t];
+    EXPECT_EQ(0, std::memcmp(&s.dot_f32, &ref.dot_f32, sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(&s.dot_f64, &ref.dot_f64, sizeof(double)));
+    expect_bitwise_equal(s.h_f32, ref.h_f32);
+    expect_bitwise_equal(s.h_f64, ref.h_f64);
+    EXPECT_EQ(s.iterations, ref.iterations);
+    expect_bitwise_equal(s.history, ref.history);
+    expect_bitwise_equal(s.x, ref.x);
+  }
 }
 
 }  // namespace
