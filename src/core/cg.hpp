@@ -256,16 +256,16 @@ class ConjugateGradient {
       const bool audit_now =
           rollback.active() && result.iterations > 0 &&
           result.iterations % opts_.sdc.audit_interval == 0;
-      double audit_local = 0.0;
       if (audit_now) {
         a_->residual(comm, b, std::span<T>(x_full.data(), x_full.size()),
                      std::span<T>(r_audit.data(), r_audit.size()));
-        ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
-        audit_local = dot_span_blocked(
-            std::span<const T>(r_audit.data(), r_audit.size()),
-            std::span<const T>(r_audit.data(), r_audit.size()));
-      }
-      if (audit_now) {
+        double audit_local;
+        {
+          ScopedMotif sm(stats_, Motif::Ortho, dot_flops(n));
+          audit_local = dot_span_blocked(
+              std::span<const T>(r_audit.data(), r_audit.size()),
+              std::span<const T>(r_audit.data(), r_audit.size()));
+        }
         lanes.reduce(comm, {rho2_local, rz_local, audit_local});
       } else {
         lanes.reduce(comm, {rho2_local, rz_local});

@@ -85,7 +85,7 @@ TYPED_TEST(FusedKernels, SpmvDotBitIdenticalToUnfused) {
     // interior-list then boundary-list blocks on the optimized path).
     op.spmv(comm, std::span<T>(x2.data(), x2.size()),
             std::span<T>(y2.data(), y2.size()));
-    const std::span<const T> xc(x2.data(), y2.size());
+    const std::span<const T> xc(x2.data(), y2.size());  // owned rows
     const std::span<const T> yc(y2.data(), y2.size());
     const double unfused =
         opt == OptLevel::Reference
