@@ -211,7 +211,7 @@ class ConjugateGradient {
     // storage (a value flip may have hit it), recompute the recurrence
     // residual from scratch, and restart the search direction. Returns
     // false when the recovery budget is spent.
-    const auto roll_back = [&]() -> bool {
+    const auto recover = [&]() -> bool {
       if (!rollback.restore(result.recoveries, x_full)) {
         result.status = SolveStatus::Corrupted;
         return false;
@@ -290,7 +290,7 @@ class ConjugateGradient {
       if (rollback.active() && (corrupted || !std::isfinite(rho))) {
         // Checked before convergence so a flipped-to-tiny norm cannot fake
         // success.
-        if (!roll_back()) {
+        if (!recover()) {
           break;
         }
         continue;
@@ -327,7 +327,7 @@ class ConjugateGradient {
         // Corrupted curvature (NaN or nonpositive ⟨Ap, p⟩ after a value
         // flip). pap is allreduce-derived, hence rank-uniform — recover
         // instead of aborting the run.
-        if (!roll_back()) {
+        if (!recover()) {
           break;
         }
         continue;
