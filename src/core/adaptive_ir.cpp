@@ -6,7 +6,6 @@
 #include "core/bytes_model.hpp"
 #include "core/gmres_ir.hpp"
 #include "precision/scale_guard.hpp"
-#include "sparse/ell.hpp"
 
 namespace hpgmx {
 
@@ -61,16 +60,7 @@ AdaptiveGmresIr::AdaptiveGmresIr(const ProblemHierarchy& hierarchy,
                           ? PrecisionSchedule{{params.inner_precision}}
                           : params.precision_schedule)),
       a_high_(hierarchy.levels[0].a, hierarchy.structures[0].get(), params.opt,
-              /*tag=*/90, /*value_scale=*/1.0, params.index_width) {
-  // Column-index width each level's ELL kernels actually stream under the
-  // configured HPGMX_IDX — realized_bytes must charge the runtime layout.
-  index_bytes_.resize(hierarchy.levels.size());
-  for (std::size_t l = 0; l < hierarchy.levels.size(); ++l) {
-    const bool idx16 = params_.index_width != IndexWidth::Idx32 &&
-                       ell_idx16_feasible(hierarchy.levels[l].a);
-    index_bytes_[l] = idx16 ? kIndexBytes16 : kIndexBytes32;
-  }
-}
+              /*tag=*/90) {}
 
 AdaptiveGmresIr::~AdaptiveGmresIr() = default;
 
@@ -159,9 +149,7 @@ double AdaptiveGmresIr::realized_bytes() const {
                  std::span<const MgLevelDims>(dims_.data(), dims_.size()),
                  std::span<const std::size_t>(widths.data(), widths.size()),
                  params_.pre_smooth_sweeps, params_.post_smooth_sweeps,
-                 params_.coarse_sweeps,
-                 std::span<const std::size_t>(index_bytes_.data(),
-                                              index_bytes_.size()));
+                 params_.coarse_sweeps);
   }
   return total;
 }

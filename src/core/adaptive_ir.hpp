@@ -95,7 +95,6 @@ class AdaptiveGmresIr {
   SolverOptions opts_;
   std::vector<double> level_max_;
   std::vector<MgLevelDims> dims_;
-  std::vector<std::size_t> index_bytes_;
   PrecisionController ctrl_;
   DistOperator<double> a_high_;
   std::unique_ptr<StackBase> stack_;

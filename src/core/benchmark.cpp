@@ -182,8 +182,7 @@ ValidationResult BenchmarkDriver::run_validation(ValidationMode mode) {
                              std::span<const double>(lvl_max.data(),
                                                      lvl_max.size()));
       DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(),
-                               params_.opt, /*tag=*/90, /*value_scale=*/1.0,
-                               params_.index_width);
+                               params_.opt, /*tag=*/90);
       GmresIr<TLow> solver(&a_d, &mg_low.level_op(0), &mg_low, ir_opts);
       solver.set_scale_guard(&guard);
       AlignedVector<double> x(h.levels[0].b.size(), 0.0);
@@ -255,8 +254,7 @@ PhaseResult BenchmarkDriver::run_phase_impl(bool mixed) {
           params_.precision_schedule,
           std::span<const double>(lvl_max.data(), lvl_max.size()));
       a_d = std::make_unique<DistOperator<double>>(
-          h.levels[0].a, h.structures[0].get(), params_.opt, /*tag=*/90,
-          /*value_scale=*/1.0, params_.index_width);
+          h.levels[0].a, h.structures[0].get(), params_.opt, /*tag=*/90);
       gmres_ir = std::make_unique<GmresIr<TLow>>(a_d.get(),
                                                  &mg_low->level_op(0),
                                                  mg_low.get(), opts);

@@ -13,21 +13,17 @@
 namespace hpgmx {
 
 // Runtime-format variants: `value_bytes` is the stored width of one value
-// (PrecisionTraits<T>::bytes / precision_bytes(p)); `index_bytes` is the
-// stored width of one column index (sizeof(local_index_t), or
-// sizeof(ell_delta_t) on the compressed-index ELL path —
-// EllMatrix::index_bytes()). These are what schedule-driven accounting
-// calls, with one width per multigrid level; the templated wrappers below
-// delegate here at the uncompressed default.
+// (PrecisionTraits<T>::bytes / precision_bytes(p)). These are what
+// schedule-driven accounting calls, with one width per multigrid level; the
+// templated wrappers below delegate here.
 
-/// Column-index width of the uncompressed formats (CSR, 32-bit ELL) — the
-/// historical constant every `sizeof(local_index_t)` charge came from.
+/// Column-index width of every sparse format (CSR and ELL both store
+/// absolute 32-bit local columns).
 inline constexpr std::size_t kIndexBytes32 = sizeof(local_index_t);
-/// Column-index width of the compressed (16-bit delta) ELL path.
-inline constexpr std::size_t kIndexBytes16 = sizeof(ell_delta_t);
 
 /// y = A x: matrix values + column indices once, x gathered (~n unique
-/// entries), y written.
+/// entries), y written. `index_bytes` is the stored width of one column
+/// index (DistOperator::ell_index_bytes()).
 [[nodiscard]] constexpr double spmv_bytes(std::int64_t nnz, local_index_t n,
                                           std::size_t value_bytes,
                                           std::size_t index_bytes =
@@ -41,23 +37,17 @@ inline constexpr std::size_t kIndexBytes16 = sizeof(ell_delta_t);
 /// One GS relaxation sweep: like SpMV plus the diagonal array and the
 /// read-modify-write of z.
 [[nodiscard]] constexpr double gs_sweep_bytes(std::int64_t nnz, local_index_t n,
-                                              std::size_t value_bytes,
-                                              std::size_t index_bytes =
-                                                  kIndexBytes32) {
+                                              std::size_t value_bytes) {
   return static_cast<double>(nnz) *
-             (static_cast<double>(value_bytes) +
-              static_cast<double>(index_bytes)) +
+             (static_cast<double>(value_bytes) + kIndexBytes32) +
          4.0 * static_cast<double>(n) * static_cast<double>(value_bytes);
 }
 
 /// r = b − A x.
 [[nodiscard]] constexpr double residual_bytes(std::int64_t nnz, local_index_t n,
-                                              std::size_t value_bytes,
-                                              std::size_t index_bytes =
-                                                  kIndexBytes32) {
+                                              std::size_t value_bytes) {
   return static_cast<double>(nnz) *
-             (static_cast<double>(value_bytes) +
-              static_cast<double>(index_bytes)) +
+             (static_cast<double>(value_bytes) + kIndexBytes32) +
          3.0 * static_cast<double>(n) * static_cast<double>(value_bytes);
 }
 
@@ -67,8 +57,7 @@ inline constexpr std::size_t kIndexBytes16 = sizeof(ell_delta_t);
 [[nodiscard]] constexpr double fused_restrict_bytes(
     std::int64_t nnz_sel, local_index_t n_fine, local_index_t n_coarse,
     std::size_t value_bytes, std::size_t coarse_value_bytes) {
-  // CSR kernel + injection maps: both keep 32-bit indices (the compressed
-  // 16-bit delta stream exists only in the ELL layout).
+  // CSR kernel + injection maps, both with 32-bit indices.
   return static_cast<double>(nnz_sel) *
              (static_cast<double>(value_bytes) + kIndexBytes32) +
          static_cast<double>(n_fine) *
@@ -137,23 +126,18 @@ struct MgLevelDims {
 /// restriction and the prolongation between adjacent levels, each charged
 /// at its level's format. `value_bytes[l]` is the stored width at level l
 /// (`value_bytes.size() == levels.size()`); with a uniform width this is
-/// exactly the sum of the templated per-motif formulas. `index_bytes[l]`,
-/// when non-empty, is the stored ELL column-index width of level l's
-/// smoother (2 on the compressed-delta path, 4 otherwise); empty charges
-/// the historical 32-bit width everywhere.
+/// exactly the sum of the templated per-motif formulas.
 [[nodiscard]] inline double mg_vcycle_bytes(
     std::span<const MgLevelDims> levels,
     std::span<const std::size_t> value_bytes, int pre_sweeps, int post_sweeps,
-    int coarse_sweeps, std::span<const std::size_t> index_bytes = {}) {
+    int coarse_sweeps) {
   double total = 0.0;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     const MgLevelDims& d = levels[l];
     const bool coarsest = (l + 1 == levels.size());
     const int sweeps =
         coarsest ? coarse_sweeps : pre_sweeps + post_sweeps;
-    const std::size_t ib =
-        index_bytes.empty() ? kIndexBytes32 : index_bytes[l];
-    total += sweeps * gs_sweep_bytes(d.nnz, d.rows, value_bytes[l], ib);
+    total += sweeps * gs_sweep_bytes(d.nnz, d.rows, value_bytes[l]);
     if (!coarsest) {
       total += fused_restrict_bytes(d.nnz_coarse_rows, d.rows, d.coarse_rows,
                                     value_bytes[l], value_bytes[l + 1]);
@@ -165,19 +149,17 @@ struct MgLevelDims {
 
 /// Main-memory bytes one inner GMRES-IR Arnoldi step streams under a
 /// per-level value width: the fine-level SpMV (levels[0], at the fine
-/// format and its ELL index width) plus one V-cycle of the preconditioner.
+/// format) plus one V-cycle of the preconditioner.
 /// Multiplying by a realized per-cycle iteration count (CycleRecord) is how
 /// the adaptive controller's runs are charged against static schedules —
 /// same formula, per-cycle widths instead of one static set.
 [[nodiscard]] inline double ir_inner_iteration_bytes(
     std::span<const MgLevelDims> levels,
     std::span<const std::size_t> value_bytes, int pre_sweeps, int post_sweeps,
-    int coarse_sweeps, std::span<const std::size_t> index_bytes = {}) {
-  const std::size_t ib0 =
-      index_bytes.empty() ? kIndexBytes32 : index_bytes[0];
-  return spmv_bytes(levels[0].nnz, levels[0].rows, value_bytes[0], ib0) +
+    int coarse_sweeps) {
+  return spmv_bytes(levels[0].nnz, levels[0].rows, value_bytes[0]) +
          mg_vcycle_bytes(levels, value_bytes, pre_sweeps, post_sweeps,
-                         coarse_sweeps, index_bytes);
+                         coarse_sweeps);
 }
 
 /// Network bytes one halo exchange moves, both directions: every boundary
@@ -218,10 +200,8 @@ template <typename T>
 
 /// w = A·v with ⟨w,v⟩ folded in: SpMV traffic only.
 [[nodiscard]] constexpr double spmv_dot_bytes(std::int64_t nnz, local_index_t n,
-                                              std::size_t value_bytes,
-                                              std::size_t index_bytes =
-                                                  kIndexBytes32) {
-  return spmv_bytes(nnz, n, value_bytes, index_bytes);
+                                              std::size_t value_bytes) {
+  return spmv_bytes(nnz, n, value_bytes);
 }
 
 /// w = αx + βy with ‖w‖² folded in: WAXPBY traffic only.
@@ -233,10 +213,8 @@ template <typename T>
 /// r = b − Ax with ‖r‖² folded in: residual traffic only.
 [[nodiscard]] constexpr double residual_norm_bytes(std::int64_t nnz,
                                                    local_index_t n,
-                                                   std::size_t value_bytes,
-                                                   std::size_t index_bytes =
-                                                       kIndexBytes32) {
-  return residual_bytes(nnz, n, value_bytes, index_bytes);
+                                                   std::size_t value_bytes) {
+  return residual_bytes(nnz, n, value_bytes);
 }
 
 /// CGS2 projection update w ← w − Q[:,1:k] h: k basis-vector streams read

@@ -28,8 +28,7 @@ class SymmetricMultigrid {
     for (int l = 0; l < nl; ++l) {
       ops_.emplace_back(hierarchy.levels[static_cast<std::size_t>(l)].a,
                         hierarchy.structures[static_cast<std::size_t>(l)].get(),
-                        params.opt, tag_base + l, /*value_scale=*/1.0,
-                        params.index_width);
+                        params.opt, tag_base + l);
     }
     r_.resize(static_cast<std::size_t>(nl));
     z_.resize(static_cast<std::size_t>(nl));

@@ -64,18 +64,12 @@ class DistOperator {
   /// instantiations). `value_scale` (a ScaleGuard's power-of-two α) scales
   /// values before demotion so narrow-exponent formats are not overflowed
   /// by a badly scaled matrix; 1.0 reproduces the plain conversion exactly.
-  /// `idx` requests the ELL column-index layout (HPGMX_IDX): Auto/Idx16
-  /// compress to 16-bit deltas when the local column window permits,
-  /// falling back to 32-bit otherwise, so every kernel result is
-  /// bit-identical across widths.
   DistOperator(const CsrMatrix<double>& a, const OperatorStructure* structure,
-               OptLevel opt, int tag, double value_scale = 1.0,
-               IndexWidth idx = IndexWidth::Auto)
+               OptLevel opt, int tag, double value_scale = 1.0)
       : source_(&a),
         value_scale_(value_scale),
-        idx_(idx),
         csr_(a.convert<T>(value_scale)),
-        ell_(ell_from_csr(csr_, idx)),
+        ell_(ell_from_csr(csr_)),
         structure_(structure),
         opt_(opt),
         halo_exchange_(&structure->halo, tag) {}
@@ -111,7 +105,7 @@ class DistOperator {
   /// scale equals the live one.
   void redemote() {
     csr_ = source_->convert<T>(value_scale_);
-    ell_ = ell_from_csr(csr_, idx_);
+    ell_ = ell_from_csr(csr_);
   }
 
   /// Flip one bit of one stored nonzero on the *active* kernel path (ELL
@@ -156,14 +150,13 @@ class DistOperator {
     }
     value_scale_ = scale;
     csr_ = source_->convert<T>(scale);
-    ell_ = ell_from_csr(csr_, idx_);
+    ell_ = ell_from_csr(csr_);
   }
 
-  /// Bytes one stored ELL column index occupies on the active path (2 when
-  /// the compressed delta stream is in use, 4 otherwise) — what the bytes
-  /// model should charge per optimized-path nonzero.
-  [[nodiscard]] std::size_t ell_index_bytes() const {
-    return ell_.index_bytes();
+  /// Bytes one stored ELL column index occupies (absolute 32-bit columns)
+  /// — what the bytes model charges per optimized-path nonzero.
+  [[nodiscard]] static constexpr std::size_t ell_index_bytes() {
+    return sizeof(local_index_t);
   }
 
   /// y = A x. x is a full-length vector (owned+halo); its halo region is
@@ -331,7 +324,6 @@ class DistOperator {
  private:
   const CsrMatrix<double>* source_;
   double value_scale_;
-  IndexWidth idx_ = IndexWidth::Auto;
   CsrMatrix<T> csr_;
   EllMatrix<T> ell_;
   const OperatorStructure* structure_;

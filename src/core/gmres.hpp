@@ -306,7 +306,7 @@ class Gmres {
   /// Solve the B columns of `b` against the same operator state, one after
   /// another. Each column runs the exact solve() sequence, so the results
   /// are bitwise identical to B independent single-RHS calls — the batch
-  /// amortizes the expensive setup (hierarchy, coloring, ELL/idx16 packing,
+  /// amortizes the expensive setup (hierarchy, coloring, ELL packing,
   /// demotion) that lives in the operator, not the per-column arithmetic.
   std::vector<SolveResult> solve_many(Comm& comm, const MultiVector<T>& b,
                                       MultiVector<T>& x) {

@@ -205,8 +205,7 @@ class Multigrid {
                 hierarchy.levels[static_cast<std::size_t>(l)].a,
                 hierarchy.structures[static_cast<std::size_t>(l)].get(),
                 params.opt, tag_base + l,
-                value_scale * level_scale_[static_cast<std::size_t>(l)],
-                params.index_width),
+                value_scale * level_scale_[static_cast<std::size_t>(l)]),
             {},
             {}};
         const auto len = static_cast<std::size_t>(lvl.op.vec_len());

@@ -39,21 +39,6 @@ enum class OptLevel {
   return std::nullopt;
 }
 
-/// Parse the HPGMX_IDX tokens: "auto", "16"/"idx16", "32"/"idx32".
-[[nodiscard]] inline std::optional<IndexWidth> parse_index_width(
-    std::string_view s) {
-  if (s == "auto") {
-    return IndexWidth::Auto;
-  }
-  if (s == "16" || s == "idx16") {
-    return IndexWidth::Idx16;
-  }
-  if (s == "32" || s == "idx32") {
-    return IndexWidth::Idx32;
-  }
-  return std::nullopt;
-}
-
 /// Run-time parameters of the benchmark (paper Table 1 values in comments).
 struct BenchParams {
   // Local (per-rank) grid. Paper: 320^3 per GCD; default here is sized for
@@ -91,12 +76,6 @@ struct BenchParams {
   /// the rank-ordered allreduce contract).
   CommBackend comm_backend = CommBackend::Thread;
 
-  /// Column-index width of the optimized ELL format (HPGMX_IDX=auto|16|32).
-  /// Auto stores 16-bit delta indices whenever the local column window fits
-  /// ±32767 and falls back to 32-bit otherwise; 32 pins the uncompressed
-  /// layout for ablations. Bit-identical either way — only bytes move.
-  IndexWidth index_width = IndexWidth::Auto;
-
   /// Storage precision of the inner GMRES-IR cycles (the paper's fp32
   /// column by default; bf16/fp16 open the sub-32-bit territory). When a
   /// non-empty `precision_schedule` is set this always equals its entry
@@ -128,7 +107,7 @@ struct BenchParams {
   /// HPGMX_GAMMA, HPGMX_MG_LEVELS, HPGMX_PRECISION (fp64|fp32|bf16|fp16),
   /// HPGMX_PRECISION_SCHEDULE (comma-separated per-level formats, e.g.
   /// fp32,bf16,bf16 — overrides HPGMX_PRECISION with its entry format),
-  /// HPGMX_OPT (reference|optimized), HPGMX_IDX (auto|16|32),
+  /// HPGMX_OPT (reference|optimized),
   /// HPGMX_COMM (self|thread|mpi), HPGMX_SCENARIO (+ shape knobs) and
   /// HPGMX_ADAPTIVE (+ _THRESHOLD/_PATIENCE/_LADDER/_START)
   /// environment overrides.
@@ -154,13 +133,6 @@ struct BenchParams {
                       "HPGMX_OPT='" << *opt
                                     << "' is not a path (reference|optimized)");
       p.opt = *parsed;
-    }
-    if (const auto idx = env_string("HPGMX_IDX"); idx.has_value()) {
-      const auto parsed = parse_index_width(*idx);
-      HPGMX_CHECK_MSG(parsed.has_value(),
-                      "HPGMX_IDX='" << *idx
-                                    << "' is not an index width (auto|16|32)");
-      p.index_width = *parsed;
     }
     if (const auto comm = env_string("HPGMX_COMM"); comm.has_value()) {
       const auto parsed = parse_comm_backend(*comm);

@@ -38,9 +38,10 @@ int AdaptiveConfig::start_rung(Scenario scenario) const {
     return static_cast<int>(it - ladder.begin());
   }
   // Auto: fp32 is the measured knee of contraction-per-byte (a 16-bit step
-  // recovers ~half the digits of an fp32 step for two-thirds of its bytes,
-  // so a 16-bit rung loses end-to-end at any tolerance) — start there
-  // whenever the ladder offers it.
+  // recovers ~half the digits of an fp32 step for ~0.74x its bytes — only
+  // the values narrow, the 32-bit column indices do not — so a 16-bit rung
+  // loses end-to-end at any tolerance) — start there whenever the ladder
+  // offers it.
   const auto fp32 = std::find(ladder.begin(), ladder.end(), Precision::Fp32);
   if (fp32 != ladder.end()) {
     return static_cast<int>(fp32 - ladder.begin());

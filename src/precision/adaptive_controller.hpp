@@ -67,14 +67,16 @@ struct AdaptiveConfig {
   /// Starting rung override (HPGMX_ADAPTIVE_START, must name a ladder
   /// entry). Unset = the measured auto rule: prefer the fp32 rung when the
   /// ladder has one — per the realized-bytes model a 16-bit inner step buys
-  /// ~0.5x the contraction of an fp32 step for ~0.66x the bytes, a net
-  /// loss at any tolerance (docs/PRECISION_POLICY.md; it is why the paper
-  /// benchmarks fp32 inner solves) — so fp32 is the cheapest rung that can
-  /// win. An all-sub-fp32 ladder is explicitly exploratory: it starts at
-  /// ladder.front(), except the low-precision stress scenarios (jump,
-  /// stretched) start one rung higher — their contraction at the cheapest
-  /// rung is known-poor, so starting there only burns cycles the
-  /// controller would spend discovering the promotion.
+  /// ~0.5x the contraction of an fp32 step for ~0.74x the bytes (the
+  /// 32-bit column indices do not shrink: a bf16 SpMV row models 166 B
+  /// against fp32's 224 B), a net loss at any tolerance
+  /// (docs/PRECISION_POLICY.md; it is why the paper benchmarks fp32 inner
+  /// solves) — so fp32 is the cheapest rung that can win. An all-sub-fp32
+  /// ladder is explicitly exploratory: it starts at ladder.front(), except
+  /// the low-precision stress scenarios (jump, stretched) start one rung
+  /// higher — their contraction at the cheapest rung is known-poor, so
+  /// starting there only burns cycles the controller would spend
+  /// discovering the promotion.
   std::optional<Precision> start;
 
   /// Promotion rank of `p` within the ladder ordering above.

@@ -140,35 +140,6 @@ inline constexpr bool is_16bit_value_v =
     std::is_same_v<T, bf16_t> || std::is_same_v<T, fp16_t>;
 }  // namespace detail
 
-/// Delta-widen (contiguous rows): cols[k] = (row0 + k) + delta[k] — the
-/// index analogue of widen_block. A compressed-index ELL kernel materializes
-/// one absolute-column tile per slot from the 16-bit delta stream, so the
-/// x-gather that follows is indexed exactly like the 32-bit path while the
-/// memory traffic is halved.
-inline void widen_delta_block(const ell_delta_t* __restrict delta,
-                              local_index_t row0,
-                              local_index_t* __restrict cols, std::size_t n) {
-#pragma omp simd
-  for (std::size_t k = 0; k < n; ++k) {
-    cols[k] = row0 + static_cast<local_index_t>(k) +
-              static_cast<local_index_t>(delta[k]);
-  }
-}
-
-/// Delta-widen (gathered rows): cols[k] = rows[k] + delta_slot[rows[k]],
-/// where `delta_slot` points at one slot's delta stream (slot * num_rows).
-/// Used by the row-list kernels (interior/boundary splits, GS colors).
-inline void widen_delta_block_rows(const ell_delta_t* __restrict delta_slot,
-                                   const local_index_t* __restrict rows,
-                                   local_index_t* __restrict cols,
-                                   std::size_t n) {
-#pragma omp simd
-  for (std::size_t k = 0; k < n; ++k) {
-    cols[k] = rows[k] + static_cast<local_index_t>(
-                            delta_slot[static_cast<std::size_t>(rows[k])]);
-  }
-}
-
 /// Convert one block (n <= detail::kConvertBlock) between any two supported
 /// value types, bit-identical to the per-element `static_cast<TY>(TX)` path:
 /// 16-bit endpoints stage through float exactly as the scalar conversion

@@ -55,7 +55,6 @@ struct ProblemDescriptor {
   double gamma = 0.0;
   std::uint64_t coloring_seed = 42;
   OptLevel opt = OptLevel::Optimized;
-  IndexWidth index_width = IndexWidth::Auto;
 
   // -- solver configuration -------------------------------------------------
   SolverKind solver = SolverKind::GmresIr;
@@ -72,18 +71,16 @@ struct ProblemDescriptor {
   /// Canonical text form: a field-order-stable, %.17g-exact rendering.
   /// Equal strings ⟺ equal descriptors (the cache key).
   [[nodiscard]] std::string canonical() const {
-    const std::string idx_name(index_width_name(index_width));
     const std::string prec_name(precision_name(inner_precision));
     char buf[256];
     std::snprintf(
         buf, sizeof(buf),
-        "n=%dx%dx%d;ranks=%d;mg=%d;gamma=%.17g;seed=%llu;opt=%s;idx=%s;"
+        "n=%dx%dx%d;ranks=%d;mg=%d;gamma=%.17g;seed=%llu;opt=%s;"
         "solver=%s;prec=%s;tol=%.17g;maxit=%d;restart=%d",
         static_cast<int>(nx), static_cast<int>(ny), static_cast<int>(nz),
         ranks, mg_levels, gamma,
         static_cast<unsigned long long>(coloring_seed), opt_level_name(opt),
-        idx_name.c_str(), solver_kind_name(solver), prec_name.c_str(), tol,
-        max_iters, restart);
+        solver_kind_name(solver), prec_name.c_str(), tol, max_iters, restart);
     std::string s(buf);
     s += ";scenario=";
     s += scenario.to_string();
@@ -119,7 +116,6 @@ struct ProblemDescriptor {
     p.gamma = gamma;
     p.coloring_seed = coloring_seed;
     p.opt = opt;
-    p.index_width = index_width;
     p.inner_precision = inner_precision;
     p.set_precision_schedule(schedule);
     p.validation_tol = tol;
@@ -143,7 +139,6 @@ struct ProblemDescriptor {
     d.gamma = p.gamma;
     d.coloring_seed = p.coloring_seed;
     d.opt = p.opt;
-    d.index_width = p.index_width;
     d.solver = kind;
     d.inner_precision = p.inner_precision;
     d.schedule = p.precision_schedule;

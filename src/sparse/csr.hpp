@@ -110,23 +110,6 @@ struct CsrMatrix {
   }
 };
 
-/// Largest |col − row| over every stored entry — the quantity the
-/// compressed-index ELL feasibility check compares against kEllDeltaMax.
-/// Halo columns participate as-is: they are already remapped into the
-/// compact range [num_owned_cols, num_cols), so a row near the low faces
-/// reading a halo column produces the format's worst-case delta.
-template <typename T>
-[[nodiscard]] local_index_t max_col_delta(const CsrMatrix<T>& a) {
-  local_index_t max_delta = 0;
-  for (local_index_t r = 0; r < a.num_rows; ++r) {
-    for (std::int64_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
-      const local_index_t d = a.col_idx[static_cast<std::size_t>(p)] - r;
-      max_delta = std::max(max_delta, d < 0 ? -d : d);
-    }
-  }
-  return max_delta;
-}
-
 /// Incremental CSR assembly: rows appended in order.
 template <typename T>
 class CsrBuilder {

@@ -28,26 +28,11 @@ struct EllMatrix {
   /// Max entries per row (padded width).
   local_index_t slots = 0;
 
-  /// Slot-major: entry (r, s) at [s * num_rows + r].
+  /// Slot-major: entry (r, s) at [s * num_rows + r]. Absolute 32-bit local
+  /// columns: the only index layout the kernels stream.
   AlignedVector<local_index_t> col_idx;
-  /// Compressed column indices: 16-bit deltas col − row, same slot-major
-  /// layout. Non-empty iff the matrix passed the ±kEllDeltaMax feasibility
-  /// check at construction; the kernels then stream these 2-byte entries
-  /// instead of col_idx and reconstruct absolute columns per tile
-  /// (widen_delta_block). col_idx stays populated either way — it is the
-  /// structural ground truth conversions and fallback paths read.
-  AlignedVector<ell_delta_t> col_delta;
   AlignedVector<T> values;
   AlignedVector<T> diag;
-
-  /// True when the kernels address x through the 16-bit delta stream.
-  [[nodiscard]] bool has_idx16() const { return !col_delta.empty(); }
-
-  /// Stored bytes of one column index on the active path — the width the
-  /// bytes model charges per nonzero.
-  [[nodiscard]] std::size_t index_bytes() const {
-    return has_idx16() ? sizeof(ell_delta_t) : sizeof(local_index_t);
-  }
 
   [[nodiscard]] std::size_t slot_index(local_index_t row,
                                        local_index_t slot) const {
@@ -72,7 +57,6 @@ struct EllMatrix {
     out.num_owned_cols = num_owned_cols;
     out.slots = slots;
     out.col_idx = col_idx;
-    out.col_delta = col_delta;
     out.values.resize(values.size());
     convert_span(std::span<const T>(values.data(), values.size()),
                  std::span<U>(out.values.data(), out.values.size()));
@@ -83,37 +67,10 @@ struct EllMatrix {
   }
 };
 
-/// True when `a`'s every entry satisfies |col − row| ≤ kEllDeltaMax, i.e.
-/// its ELL form can store 16-bit delta column indices exactly. Fails for
-/// local grids whose column window (or remapped halo range) outgrows the
-/// ±32767 window — e.g. the very first halo column seen from row 0 of a
-/// ≥ 32³ subdomain — in which case ell_from_csr keeps the 32-bit layout.
-/// Returns at the first violation, so the common infeasible shapes (a halo
-/// column early in the row order) cost far less than a full nnz scan.
-template <typename T>
-[[nodiscard]] bool ell_idx16_feasible(const CsrMatrix<T>& a) {
-  for (local_index_t r = 0; r < a.num_rows; ++r) {
-    for (std::int64_t p = a.row_ptr[r]; p < a.row_ptr[r + 1]; ++p) {
-      if (!ell_delta_fits(a.col_idx[static_cast<std::size_t>(p)] - r)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// Convert CSR → ELL. Padding slots reference the row itself with value 0,
 /// so products read x[r] and add 0 — harmless and branch-free.
-///
-/// `idx` selects the column-index layout: Auto/Idx16 additionally store the
-/// slot-major 16-bit delta stream (col − row) when the feasibility check
-/// passes — the compressed-index path every ELL kernel dispatches on at
-/// runtime; Idx32 (or an infeasible window) keeps absolute 32-bit columns
-/// only. Padding deltas are 0 (the row's self reference), so the compressed
-/// stream needs no special padding handling either.
 template <typename T>
-[[nodiscard]] EllMatrix<T> ell_from_csr(const CsrMatrix<T>& a,
-                                        IndexWidth idx = IndexWidth::Auto) {
+[[nodiscard]] EllMatrix<T> ell_from_csr(const CsrMatrix<T>& a) {
   EllMatrix<T> e;
   e.num_rows = a.num_rows;
   e.num_cols = a.num_cols;
@@ -143,30 +100,6 @@ template <typename T>
     }
   }
   e.diag = a.diag;
-  if (idx != IndexWidth::Idx32) {
-    // Build the compressed stream in one OpenMP-parallel pass over the
-    // just-built col_idx, folding the feasibility check in (no separate
-    // serial nnz scan — this runs on every ScaleGuard re-demotion too).
-    // Any out-of-window delta voids the whole attempt and keeps the
-    // 32-bit layout.
-    e.col_delta.resize(total);
-    int feasible = 1;
-#pragma omp parallel for schedule(static) reduction(&& : feasible)
-    for (local_index_t r = 0; r < a.num_rows; ++r) {
-      for (local_index_t s = 0; s < width; ++s) {
-        const std::size_t at = e.slot_index(r, s);
-        const local_index_t d = e.col_idx[at] - r;
-        const bool ok = ell_delta_fits(d);
-        feasible = feasible && ok;
-        e.col_delta[at] = static_cast<ell_delta_t>(ok ? d : 0);
-      }
-    }
-    if (!feasible) {
-      // Release the storage too — an infeasible (large) grid should not
-      // hold a dead 2-bytes-per-slot allocation for the operator's life.
-      AlignedVector<ell_delta_t>().swap(e.col_delta);
-    }
-  }
   return e;
 }
 

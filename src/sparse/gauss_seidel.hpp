@@ -111,9 +111,7 @@ inline constexpr std::size_t kGsBlockRows = 1024;
 /// set or a subset of it): slot loop outside the block so the slot-major
 /// arrays stream instead of striding by num_rows per row. This is the
 /// ablation baseline for the staged 16-bit path below (and the production
-/// kernel for the hardware types). Compressed-index matrices materialize an
-/// absolute-column tile per block-slot from the 16-bit delta stream
-/// (widen_delta_block_rows) — identical arithmetic, half the index bytes.
+/// kernel for the hardware types).
 template <typename T>
 void gs_update_rows_ell_blocked_scalar(const EllMatrix<T>& a,
                                        const T* __restrict rv,
@@ -121,8 +119,6 @@ void gs_update_rows_ell_blocked_scalar(const EllMatrix<T>& a,
                                        std::span<const local_index_t> rows) {
   const local_index_t n = a.num_rows;
   const local_index_t* __restrict ci = a.col_idx.data();
-  const ell_delta_t* __restrict dd =
-      a.has_idx16() ? a.col_delta.data() : nullptr;
   const T* __restrict av = a.values.data();
   const T* __restrict dv = a.diag.data();
   const std::size_t nk = rows.size();
@@ -131,26 +127,16 @@ void gs_update_rows_ell_blocked_scalar(const EllMatrix<T>& a,
   for (std::size_t blk = 0; blk < nblocks; ++blk) {
     const std::size_t k0 = blk * kGsBlockRows;
     const std::size_t k1 = std::min(nk, k0 + kGsBlockRows);
-    const std::size_t len = k1 - k0;
     accum_t<T> acc[kGsBlockRows];
-    local_index_t ctile[kGsBlockRows];
     for (std::size_t k = k0; k < k1; ++k) {
       acc[k - k0] = rv[rows[k]];
     }
     for (local_index_t s = 0; s < a.slots; ++s) {
       const std::size_t base =
           static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
-      if (dd != nullptr) {
-        widen_delta_block_rows(dd + base, rows.data() + k0, ctile, len);
-        for (std::size_t k = k0; k < k1; ++k) {
-          acc[k - k0] -= av[base + static_cast<std::size_t>(rows[k])] *
-                         zv[ctile[k - k0]];
-        }
-      } else {
-        for (std::size_t k = k0; k < k1; ++k) {
-          const std::size_t at = base + static_cast<std::size_t>(rows[k]);
-          acc[k - k0] -= av[at] * zv[ci[at]];
-        }
+      for (std::size_t k = k0; k < k1; ++k) {
+        const std::size_t at = base + static_cast<std::size_t>(rows[k]);
+        acc[k - k0] -= av[at] * zv[ci[at]];
       }
     }
     for (std::size_t k = k0; k < k1; ++k) {
@@ -173,8 +159,6 @@ void gs_update_rows_ell_staged16(const EllMatrix<T>& a,
   static_assert(is_16bit_value_v<T>);
   const local_index_t n = a.num_rows;
   const local_index_t* __restrict ci = a.col_idx.data();
-  const ell_delta_t* __restrict dd =
-      a.has_idx16() ? a.col_delta.data() : nullptr;
   const T* __restrict av = a.values.data();
   const T* __restrict dv = a.diag.data();
   const std::size_t nk = rows.size();
@@ -189,7 +173,6 @@ void gs_update_rows_ell_staged16(const EllMatrix<T>& a,
     float zstage[kGsBlockRows];
     T vtile[kGsBlockRows];
     T ztile[kGsBlockRows];
-    local_index_t ctile[kGsBlockRows];
     for (std::size_t k = 0; k < len; ++k) {
       ztile[k] = rv[rws[k]];
     }
@@ -197,18 +180,10 @@ void gs_update_rows_ell_staged16(const EllMatrix<T>& a,
     for (local_index_t s = 0; s < a.slots; ++s) {
       const std::size_t base =
           static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
-      if (dd != nullptr) {
-        widen_delta_block_rows(dd + base, rws, ctile, len);
-        for (std::size_t k = 0; k < len; ++k) {
-          vtile[k] = av[base + static_cast<std::size_t>(rws[k])];
-          ztile[k] = zv[ctile[k]];
-        }
-      } else {
-        for (std::size_t k = 0; k < len; ++k) {
-          const std::size_t at = base + static_cast<std::size_t>(rws[k]);
-          vtile[k] = av[at];
-          ztile[k] = zv[ci[at]];
-        }
+      for (std::size_t k = 0; k < len; ++k) {
+        const std::size_t at = base + static_cast<std::size_t>(rws[k]);
+        vtile[k] = av[at];
+        ztile[k] = zv[ci[at]];
       }
       widen_block(vtile, vstage, len);
       widen_block(ztile, zstage, len);

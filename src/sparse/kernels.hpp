@@ -49,33 +49,23 @@ static_assert(static_cast<std::size_t>(kEllBlockRows) == kReduceBlock,
 
 /// Staged 16-bit accumulation over one contiguous ELL row block
 /// [r0, r0+len): per slot, widen the contiguous value tile and the gathered
-/// x tile into fp32 staging buffers, then FMA at unit stride. When the
-/// matrix carries compressed (16-bit delta) indices, the absolute column
-/// tile is materialized from the delta stream first (widen_delta_block) —
-/// same gather, half the index traffic.
+/// x tile into fp32 staging buffers, then FMA at unit stride.
 template <typename T>
 inline void ell_block_accumulate_staged(const EllMatrix<T>& a,
                                         const T* __restrict xv, float* acc,
                                         local_index_t r0, std::size_t len) {
   static_assert(is_16bit_value_v<T>);
   const local_index_t* __restrict ci = a.col_idx.data();
-  const ell_delta_t* __restrict dd =
-      a.has_idx16() ? a.col_delta.data() : nullptr;
   const T* __restrict av = a.values.data();
   float vstage[kEllBlockRows];
   float xstage[kEllBlockRows];
   T xtile[kEllBlockRows];
-  local_index_t ctile[kEllBlockRows];
   for (local_index_t s = 0; s < a.slots; ++s) {
     const std::size_t base = static_cast<std::size_t>(s) *
                                  static_cast<std::size_t>(a.num_rows) +
                              static_cast<std::size_t>(r0);
     widen_block(av + base, vstage, len);
     const local_index_t* cols = ci + base;
-    if (dd != nullptr) {
-      widen_delta_block(dd + base, r0, ctile, len);
-      cols = ctile;
-    }
     for (std::size_t k = 0; k < len; ++k) {
       xtile[k] = xv[cols[k]];
     }
@@ -89,37 +79,25 @@ inline void ell_block_accumulate_staged(const EllMatrix<T>& a,
 
 /// Staged 16-bit accumulation over a row-list block rows[k0..k0+len): like
 /// the contiguous variant but the value/column streams are gathered through
-/// the (sorted, near-contiguous) row list before widening. Compressed
-/// indices resolve through widen_delta_block_rows.
+/// the (sorted, near-contiguous) row list before widening.
 template <typename T>
 inline void ell_block_accumulate_staged_rows(
     const EllMatrix<T>& a, const T* __restrict xv, float* acc,
     const local_index_t* __restrict rows, std::size_t len) {
   static_assert(is_16bit_value_v<T>);
   const local_index_t* __restrict ci = a.col_idx.data();
-  const ell_delta_t* __restrict dd =
-      a.has_idx16() ? a.col_delta.data() : nullptr;
   const T* __restrict av = a.values.data();
   float vstage[kEllBlockRows];
   float xstage[kEllBlockRows];
   T vtile[kEllBlockRows];
   T xtile[kEllBlockRows];
-  local_index_t ctile[kEllBlockRows];
   for (local_index_t s = 0; s < a.slots; ++s) {
     const std::size_t base = static_cast<std::size_t>(s) *
                              static_cast<std::size_t>(a.num_rows);
-    if (dd != nullptr) {
-      widen_delta_block_rows(dd + base, rows, ctile, len);
-      for (std::size_t k = 0; k < len; ++k) {
-        vtile[k] = av[base + static_cast<std::size_t>(rows[k])];
-        xtile[k] = xv[ctile[k]];
-      }
-    } else {
-      for (std::size_t k = 0; k < len; ++k) {
-        const std::size_t at = base + static_cast<std::size_t>(rows[k]);
-        vtile[k] = av[at];
-        xtile[k] = xv[ci[at]];
-      }
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t at = base + static_cast<std::size_t>(rows[k]);
+      vtile[k] = av[at];
+      xtile[k] = xv[ci[at]];
     }
     widen_block(vtile, vstage, len);
     widen_block(xtile, xstage, len);
@@ -212,9 +190,6 @@ void csr_spmv_rows(const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
 /// Scalar (promote-through-float) ELL SpMV — the pre-staging loop, kept as
 /// the ablation baseline micro_kernels measures the staged path against,
 /// and the kernel the hardware types use (their "conversion" is free).
-/// Compressed-index matrices resolve columns per block-slot tile through
-/// widen_delta_block; the arithmetic (and therefore every output bit) is
-/// identical to the 32-bit layout.
 template <typename T>
 void ell_spmv_scalar(const EllMatrix<T>& a, std::span<const T> x,
                      std::span<T> y) {
@@ -222,8 +197,6 @@ void ell_spmv_scalar(const EllMatrix<T>& a, std::span<const T> x,
   HPGMX_CHECK(static_cast<local_index_t>(y.size()) >= a.num_rows);
   const local_index_t n = a.num_rows;
   const local_index_t* __restrict ci = a.col_idx.data();
-  const ell_delta_t* __restrict dd =
-      a.has_idx16() ? a.col_delta.data() : nullptr;
   const T* __restrict av = a.values.data();
   const T* __restrict xv = x.data();
   T* __restrict yv = y.data();
@@ -233,9 +206,7 @@ void ell_spmv_scalar(const EllMatrix<T>& a, std::span<const T> x,
   for (local_index_t blk = 0; blk < nblocks; ++blk) {
     const local_index_t r0 = blk * detail::kEllBlockRows;
     const local_index_t r1 = std::min(n, r0 + detail::kEllBlockRows);
-    const std::size_t len = static_cast<std::size_t>(r1 - r0);
     accum_t<T> acc[detail::kEllBlockRows];
-    local_index_t ctile[detail::kEllBlockRows];
     for (local_index_t r = r0; r < r1; ++r) {
       acc[r - r0] = accum_t<T>(0);
     }
@@ -243,11 +214,6 @@ void ell_spmv_scalar(const EllMatrix<T>& a, std::span<const T> x,
       const std::size_t base = static_cast<std::size_t>(s) *
                                static_cast<std::size_t>(n);
       const local_index_t* cols = ci + base + static_cast<std::size_t>(r0);
-      if (dd != nullptr) {
-        widen_delta_block(dd + base + static_cast<std::size_t>(r0), r0, ctile,
-                          len);
-        cols = ctile;
-      }
       for (local_index_t r = r0; r < r1; ++r) {
         acc[r - r0] += av[base + static_cast<std::size_t>(r)] *
                        xv[cols[r - r0]];
@@ -287,16 +253,13 @@ void ell_spmv(const EllMatrix<T>& a, std::span<const T> x, std::span<T> y) {
   }
 }
 
-/// Scalar row-list ELL SpMV (see ell_spmv_scalar). Compressed indices
-/// resolve through widen_delta_block_rows per block-slot tile.
+/// Scalar row-list ELL SpMV (see ell_spmv_scalar).
 template <typename T>
 void ell_spmv_rows_scalar(const EllMatrix<T>& a, std::span<const T> x,
                           std::span<T> y,
                           std::span<const local_index_t> rows) {
   const local_index_t n = a.num_rows;
   const local_index_t* __restrict ci = a.col_idx.data();
-  const ell_delta_t* __restrict dd =
-      a.has_idx16() ? a.col_delta.data() : nullptr;
   const T* __restrict av = a.values.data();
   const T* __restrict xv = x.data();
   T* __restrict yv = y.data();
@@ -307,26 +270,16 @@ void ell_spmv_rows_scalar(const EllMatrix<T>& a, std::span<const T> x,
   for (std::size_t blk = 0; blk < nblocks; ++blk) {
     const std::size_t k0 = blk * block;
     const std::size_t k1 = std::min(nk, k0 + block);
-    const std::size_t len = k1 - k0;
     accum_t<T> acc[detail::kEllBlockRows];
-    local_index_t ctile[detail::kEllBlockRows];
     for (std::size_t k = k0; k < k1; ++k) {
       acc[k - k0] = accum_t<T>(0);
     }
     for (local_index_t s = 0; s < a.slots; ++s) {
       const std::size_t base =
           static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
-      if (dd != nullptr) {
-        widen_delta_block_rows(dd + base, rows.data() + k0, ctile, len);
-        for (std::size_t k = k0; k < k1; ++k) {
-          acc[k - k0] += av[base + static_cast<std::size_t>(rows[k])] *
-                         xv[ctile[k - k0]];
-        }
-      } else {
-        for (std::size_t k = k0; k < k1; ++k) {
-          const std::size_t at = base + static_cast<std::size_t>(rows[k]);
-          acc[k - k0] += av[at] * xv[ci[at]];
-        }
+      for (std::size_t k = k0; k < k1; ++k) {
+        const std::size_t at = base + static_cast<std::size_t>(rows[k]);
+        acc[k - k0] += av[at] * xv[ci[at]];
       }
     }
     for (std::size_t k = k0; k < k1; ++k) {
@@ -408,28 +361,17 @@ template <typename T>
       }
     } else {
       const local_index_t* __restrict ci = a.col_idx.data();
-      const ell_delta_t* __restrict dd =
-          a.has_idx16() ? a.col_delta.data() : nullptr;
       const T* __restrict av = a.values.data();
       accum_t<T> acc[detail::kEllBlockRows];
-      local_index_t ctile[detail::kEllBlockRows];
       for (std::size_t k = 0; k < len; ++k) {
         acc[k] = accum_t<T>(0);
       }
       for (local_index_t s = 0; s < a.slots; ++s) {
         const std::size_t base = static_cast<std::size_t>(s) *
                                  static_cast<std::size_t>(a.num_rows);
-        if (dd != nullptr) {
-          widen_delta_block_rows(dd + base, rws, ctile, len);
-          for (std::size_t k = 0; k < len; ++k) {
-            acc[k] += av[base + static_cast<std::size_t>(rws[k])] *
-                      xv[ctile[k]];
-          }
-        } else {
-          for (std::size_t k = 0; k < len; ++k) {
-            const std::size_t at = base + static_cast<std::size_t>(rws[k]);
-            acc[k] += av[at] * xv[ci[at]];
-          }
+        for (std::size_t k = 0; k < len; ++k) {
+          const std::size_t at = base + static_cast<std::size_t>(rws[k]);
+          acc[k] += av[at] * xv[ci[at]];
         }
       }
       for (std::size_t k = 0; k < len; ++k) {

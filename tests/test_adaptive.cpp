@@ -336,7 +336,7 @@ SolveResult solve_static_reference(const ProblemHierarchy& h,
   Multigrid<float> mg(h, params, /*tag_base=*/100, guard.scale(),
                       params.precision_schedule, lm);
   DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
-                           /*tag=*/90, 1.0, params.index_width);
+                           /*tag=*/90);
   GmresIr<float> solver(&a_d, &mg.level_op(0), &mg, opts);
   solver.set_scale_guard(&guard);
   return solver.solve(

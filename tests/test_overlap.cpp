@@ -4,8 +4,8 @@
 // interior compute. The contract that makes it an *optimization* and not a
 // different algorithm is bit-identity: splitting each sweep into
 // interior+boundary row lists around the split-phase exchange must produce
-// exactly the bits the blocking exchange produces, for every value format
-// and both column-index widths. This file pins that down, along with the
+// exactly the bits the blocking exchange produces, for every value format.
+// This file pins that down, along with the
 // sibling contracts: GMRES-IR sends exactly one outer reduction per
 // refinement cycle, the Self and Thread backends agree at one rank, and the
 // HPGMX_COMM environment switch parses correctly.
@@ -95,10 +95,10 @@ TEST(OverlapPartition, ClassifiesEveryRowExactlyOnce) {
 // ---------------------------------------------------------------------------
 // Kernel-level bit-identity: the operator's overlapped SpMV, fused SpMV-dot
 // and GS against a blocking exchange followed by the same row-list kernels
-// in the same order, across all four value formats and both index widths.
+// in the same order, across all four value formats.
 
 template <typename T>
-void expect_overlap_bit_identity(IndexWidth idx) {
+void expect_overlap_bit_identity() {
   constexpr int kRanks = 4;
   const ProcessGrid pgrid = ProcessGrid::create(kRanks);
   ProblemParams pp;
@@ -107,8 +107,7 @@ void expect_overlap_bit_identity(IndexWidth idx) {
   ThreadCommWorld::execute(kRanks, [&](Comm& comm) {
     const Problem prob = generate_problem(pgrid, comm.rank(), pp);
     const OperatorStructure s = build_structure(prob, 42);
-    DistOperator<T> op(prob.a, &s, OptLevel::Optimized, /*tag=*/7,
-                       /*value_scale=*/1.0, idx);
+    DistOperator<T> op(prob.a, &s, OptLevel::Optimized, /*tag=*/7);
     HaloExchange<T> blocking(&s.halo, /*tag=*/507);
     const EllMatrix<T>& ell = op.ell();
 
@@ -161,30 +160,10 @@ void expect_overlap_bit_identity(IndexWidth idx) {
   });
 }
 
-TEST(OverlapBitIdentity, Fp64Idx32) {
-  expect_overlap_bit_identity<double>(IndexWidth::Idx32);
-}
-TEST(OverlapBitIdentity, Fp64Idx16) {
-  expect_overlap_bit_identity<double>(IndexWidth::Idx16);
-}
-TEST(OverlapBitIdentity, Fp32Idx32) {
-  expect_overlap_bit_identity<float>(IndexWidth::Idx32);
-}
-TEST(OverlapBitIdentity, Fp32Idx16) {
-  expect_overlap_bit_identity<float>(IndexWidth::Idx16);
-}
-TEST(OverlapBitIdentity, Bf16Idx32) {
-  expect_overlap_bit_identity<bf16_t>(IndexWidth::Idx32);
-}
-TEST(OverlapBitIdentity, Bf16Idx16) {
-  expect_overlap_bit_identity<bf16_t>(IndexWidth::Idx16);
-}
-TEST(OverlapBitIdentity, Fp16Idx32) {
-  expect_overlap_bit_identity<fp16_t>(IndexWidth::Idx32);
-}
-TEST(OverlapBitIdentity, Fp16Idx16) {
-  expect_overlap_bit_identity<fp16_t>(IndexWidth::Idx16);
-}
+TEST(OverlapBitIdentity, Fp64Idx32) { expect_overlap_bit_identity<double>(); }
+TEST(OverlapBitIdentity, Fp32Idx32) { expect_overlap_bit_identity<float>(); }
+TEST(OverlapBitIdentity, Bf16Idx32) { expect_overlap_bit_identity<bf16_t>(); }
+TEST(OverlapBitIdentity, Fp16Idx32) { expect_overlap_bit_identity<fp16_t>(); }
 
 // ---------------------------------------------------------------------------
 // Solver-level equivalence: a full GMRES-IR solve under each configuration.
@@ -217,8 +196,7 @@ IrRun run_gmres_ir(int ranks, const BenchParams& params, SolverOptions opts,
                         params.mg_levels, params.coloring_seed);
     Multigrid<float> mg(h, params);
     DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
-                             /*tag=*/90, /*value_scale=*/1.0,
-                             params.index_width);
+                             /*tag=*/90);
     GmresIr<float> solver(&a_d, &mg.level_op(0), &mg, opts);
     AlignedVector<double> x(h.levels[0].b.size(), 0.0);
     results[slot] = solver.solve(

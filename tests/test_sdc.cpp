@@ -429,25 +429,17 @@ TEST(SdcEndToEnd, ValuesFaultIsSeedDeterministic) {
 TEST(SdcEndToEnd, DetectionOnCleanRunsAreBitIdenticalAcrossFormats) {
   // The detection machinery (checksum lanes on halo messages, verdict lanes
   // on the packed reductions, checkpoint copies) must not perturb a healthy
-  // solve in any value format or index width.
+  // solve in any value format.
   for (const Precision prec : {Precision::Fp64, Precision::Fp32,
                                Precision::Bf16, Precision::Fp16}) {
-    for (const IndexWidth idx : {IndexWidth::Idx16, IndexWidth::Idx32}) {
-      ProblemDescriptor d = ir_descriptor();
-      d.nx = d.ny = d.nz = 8;
-      d.mg_levels = 3;
-      d.inner_precision = prec;
-      d.index_width = idx;
-      const ServiceResult off =
-          run_service(d, FaultConfig{}, /*detect=*/false);
-      const ServiceResult on = run_service(d, FaultConfig{}, /*detect=*/true);
-      EXPECT_EQ(on.recoveries, 0)
-          << std::string(precision_name(prec)) << " "
-          << std::string(index_width_name(idx));
-      EXPECT_TRUE(bit_identical(on, off))
-          << std::string(precision_name(prec)) << " "
-          << std::string(index_width_name(idx));
-    }
+    ProblemDescriptor d = ir_descriptor();
+    d.nx = d.ny = d.nz = 8;
+    d.mg_levels = 3;
+    d.inner_precision = prec;
+    const ServiceResult off = run_service(d, FaultConfig{}, /*detect=*/false);
+    const ServiceResult on = run_service(d, FaultConfig{}, /*detect=*/true);
+    EXPECT_EQ(on.recoveries, 0) << std::string(precision_name(prec));
+    EXPECT_TRUE(bit_identical(on, off)) << std::string(precision_name(prec));
   }
 }
 

@@ -70,7 +70,6 @@ TEST(Descriptor, EveryFieldChangesTheCanonicalForm) {
   vary([](ProblemDescriptor& d) { d.gamma = 0.25; });
   vary([](ProblemDescriptor& d) { d.coloring_seed = 7; });
   vary([](ProblemDescriptor& d) { d.opt = OptLevel::Reference; });
-  vary([](ProblemDescriptor& d) { d.index_width = IndexWidth::Idx32; });
   vary([](ProblemDescriptor& d) { d.solver = SolverKind::Cg; });
   vary([](ProblemDescriptor& d) { d.inner_precision = Precision::Bf16; });
   vary([](ProblemDescriptor& d) {
@@ -362,8 +361,7 @@ TEST(ManyRhs, GmresIrBatchMatchesIndependentSolvesBitwise) {
                             std::span<const double>(lvl_max.data(),
                                                     lvl_max.size()));
     DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(), params.opt,
-                             /*tag=*/90, /*value_scale=*/1.0,
-                             params.index_width);
+                             /*tag=*/90);
     GmresIr<float> solver(&a_d, &mg_low.level_op(0), &mg_low, opts);
     solver.set_scale_guard(&guard);
     run(solver);

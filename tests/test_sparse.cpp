@@ -96,30 +96,48 @@ TEST(Spmv, CsrMatchesDenseOracle) {
   EXPECT_DOUBLE_EQ(y[3], -3 + 16.0);
 }
 
-class SpmvGridSizes : public ::testing::TestWithParam<int> {};
-
-TEST_P(SpmvGridSizes, EllEqualsCsrOnStencilMatrix) {
-  const auto n = static_cast<local_index_t>(GetParam());
-  ProblemParams p;
-  p.nx = p.ny = p.nz = n;
-  const Problem prob = generate_problem(ProcessGrid(1, 1, 1), 0, p);
-  const EllMatrix<double> e = ell_from_csr(prob.a);
-
+/// ELL SpMV must reproduce CSR SpMV on `a` for a random x.
+void expect_ell_equals_csr(const CsrMatrix<double>& a) {
+  const EllMatrix<double> e = ell_from_csr(a);
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> dist(-1, 1);
-  AlignedVector<double> x(static_cast<std::size_t>(prob.a.num_cols));
+  AlignedVector<double> x(static_cast<std::size_t>(a.num_cols));
   for (auto& v : x) {
     v = dist(rng);
   }
-  AlignedVector<double> y_csr(static_cast<std::size_t>(prob.a.num_rows), 0);
-  AlignedVector<double> y_ell(static_cast<std::size_t>(prob.a.num_rows), 0);
-  csr_spmv(prob.a, std::span<const double>(x.data(), x.size()),
+  AlignedVector<double> y_csr(static_cast<std::size_t>(a.num_rows), 0);
+  AlignedVector<double> y_ell(static_cast<std::size_t>(a.num_rows), 0);
+  csr_spmv(a, std::span<const double>(x.data(), x.size()),
            std::span<double>(y_csr.data(), y_csr.size()));
   ell_spmv(e, std::span<const double>(x.data(), x.size()),
            std::span<double>(y_ell.data(), y_ell.size()));
   for (std::size_t i = 0; i < y_csr.size(); ++i) {
     ASSERT_NEAR(y_csr[i], y_ell[i], 1e-12) << "row " << i;
   }
+}
+
+/// Two owned rows plus one entry addressing a remapped halo column 40000
+/// columns from its row — wider than any 16-bit column window, the shape a
+/// large local grid's first low-face halo reference takes.
+TEST(Spmv, EllEqualsCsrWithFarHaloColumn) {
+  constexpr local_index_t kFarCol = 40000;
+  CsrBuilder<double> b(/*num_rows=*/2, /*num_cols=*/kFarCol + 1,
+                       /*num_owned_cols=*/2);
+  b.push(0, 4.0);
+  b.push(kFarCol, -1.0);
+  b.finish_row();
+  b.push(1, 4.0);
+  b.finish_row();
+  expect_ell_equals_csr(b.build());
+}
+
+class SpmvGridSizes : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpmvGridSizes, EllEqualsCsrOnStencilMatrix) {
+  const auto n = static_cast<local_index_t>(GetParam());
+  ProblemParams p;
+  p.nx = p.ny = p.nz = n;
+  expect_ell_equals_csr(generate_problem(ProcessGrid(1, 1, 1), 0, p).a);
 }
 
 TEST_P(SpmvGridSizes, RowSubsetVariantsCoverAllRows) {
