@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
       build_hierarchy(generate_problem(ProcessGrid(1, 1, 1), 0, pp),
                       cfg.params.mg_levels, cfg.params.coloring_seed);
   SelfComm comm;
-  SymmetricMultigrid<double> mg(h, cfg.params);
+  Multigrid<double> mg(h, cfg.params);
+  mg.set_symmetric_smoothing(true);
   SolverOptions opts;
   opts.max_iters = cfg.params.max_iters_per_solve;
   opts.tol = 0.0;

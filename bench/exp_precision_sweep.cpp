@@ -135,10 +135,7 @@ int main(int argc, char** argv) {
         spmv_bytes(nnz, nrows, widths[0]) +
         mg_vcycle_bytes(std::span<const MgLevelDims>(dims.data(), dims.size()),
                         std::span<const std::size_t>(widths.data(),
-                                                     widths.size()),
-                        cfg.params.pre_smooth_sweeps,
-                        cfg.params.post_smooth_sweeps,
-                        cfg.params.coarse_sweeps);
+                                                     widths.size()));
     return total / static_cast<double>(nrows);
   };
 

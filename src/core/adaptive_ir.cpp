@@ -147,9 +147,7 @@ double AdaptiveGmresIr::realized_bytes() const {
     total += static_cast<double>(rec.inner_iterations) *
              ir_inner_iteration_bytes(
                  std::span<const MgLevelDims>(dims_.data(), dims_.size()),
-                 std::span<const std::size_t>(widths.data(), widths.size()),
-                 params_.pre_smooth_sweeps, params_.post_smooth_sweeps,
-                 params_.coarse_sweeps);
+                 std::span<const std::size_t>(widths.data(), widths.size()));
   }
   return total;
 }

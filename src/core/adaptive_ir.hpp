@@ -25,7 +25,7 @@
 
 #include "blas/multivector.hpp"
 #include "core/dist_operator.hpp"
-#include "core/gmres.hpp"
+#include "core/gmres_ir.hpp"
 #include "core/multigrid.hpp"
 #include "core/params.hpp"
 #include "precision/adaptive_controller.hpp"

@@ -11,6 +11,54 @@
 
 namespace hpgmx {
 
+namespace {
+
+/// One rank's GMRES-IR stack at inner format TLow (paper algorithm 3), as
+/// validation and the timed mixed phase both build it: per-level max|A|
+/// reduced over the world (ReduceOp::Max) so every rank demotes with the
+/// same power-of-two scales, a ScaleGuard anchored per the schedule, the
+/// TLow hierarchy demoted at the guard's scale, and the double outer
+/// operator. Built in place: the solver points into its siblings.
+template <typename TLow>
+struct MixedStack {
+  MixedStack(Comm& comm, const ProblemHierarchy& h, const BenchParams& params,
+             const SolverOptions& opts)
+      : level_max(global_level_max_abs(comm, h)),
+        guard([&] {
+          ScaleGuard g;
+          g.initialize(
+              guard_reference_max_abs(level_max, params.precision_schedule),
+              PrecisionTraits<TLow>::max_finite);
+          return g;
+        }()),
+        mg(h, params, /*tag_base=*/100, guard.scale(),
+           params.precision_schedule, level_max),
+        a_d(h.levels[0].a, h.structures[0].get(), params.opt, /*tag=*/90),
+        solver(&a_d, &mg.level_op(0), &mg, opts) {
+    solver.set_scale_guard(&guard);
+  }
+  MixedStack(const MixedStack&) = delete;
+  MixedStack& operator=(const MixedStack&) = delete;
+
+  static std::vector<double> global_level_max_abs(Comm& comm,
+                                                  const ProblemHierarchy& h) {
+    const std::vector<double> local = hierarchy_level_max_abs(h);
+    std::vector<double> global(local.size());
+    comm.allreduce(std::span<const double>(local.data(), local.size()),
+                   std::span<double>(global.data(), global.size()),
+                   ReduceOp::Max);
+    return global;
+  }
+
+  std::vector<double> level_max;
+  ScaleGuard guard;
+  Multigrid<TLow> mg;
+  DistOperator<double> a_d;
+  GmresIr<TLow> solver;
+};
+
+}  // namespace
+
 std::string BenchReport::to_string() const {
   std::ostringstream os;
   os << "=== HPG-MxP report ===\n";
@@ -162,31 +210,9 @@ ValidationResult BenchmarkDriver::run_validation(ValidationMode mode) {
     world->execute([&](Comm& comm) {
       const auto slot = static_cast<std::size_t>(world->slot_of(comm.rank()));
       const auto& h = hier[slot];
-      ScaleGuard guard;
-      // Global per-level maxima so every rank demotes with the same
-      // power-of-two scales (both the guard's α and the schedule's
-      // per-level equilibration).
-      const std::vector<double> lvl_max_local = hierarchy_level_max_abs(h);
-      std::vector<double> lvl_max(lvl_max_local.size());
-      comm.allreduce(std::span<const double>(lvl_max_local.data(),
-                                             lvl_max_local.size()),
-                     std::span<double>(lvl_max.data(), lvl_max.size()),
-                     ReduceOp::Max);
-      guard.initialize(
-          guard_reference_max_abs(
-              std::span<const double>(lvl_max.data(), lvl_max.size()),
-              params_.precision_schedule),
-          PrecisionTraits<TLow>::max_finite);
-      Multigrid<TLow> mg_low(h, params_, /*tag_base=*/100, guard.scale(),
-                             params_.precision_schedule,
-                             std::span<const double>(lvl_max.data(),
-                                                     lvl_max.size()));
-      DistOperator<double> a_d(h.levels[0].a, h.structures[0].get(),
-                               params_.opt, /*tag=*/90);
-      GmresIr<TLow> solver(&a_d, &mg_low.level_op(0), &mg_low, ir_opts);
-      solver.set_scale_guard(&guard);
+      MixedStack<TLow> stack(comm, h, params_, ir_opts);
       AlignedVector<double> x(h.levels[0].b.size(), 0.0);
-      ir_results[slot] = solver.solve(
+      ir_results[slot] = stack.solver.solve(
           comm,
           std::span<const double>(h.levels[0].b.data(), h.levels[0].b.size()),
           std::span<double>(x.data(), x.size()));
@@ -232,34 +258,11 @@ PhaseResult BenchmarkDriver::run_phase_impl(bool mixed) {
 
     // Setup outside the timed region, as in the benchmark.
     std::unique_ptr<Multigrid<double>> mg_d;
-    std::unique_ptr<Multigrid<TLow>> mg_low;
-    std::unique_ptr<DistOperator<double>> a_d;
     std::unique_ptr<Gmres<double>> gmres_d;
-    std::unique_ptr<GmresIr<TLow>> gmres_ir;
-    ScaleGuard guard;
+    std::unique_ptr<MixedStack<TLow>> mixed_stack;
     if (mixed) {
-      const std::vector<double> lvl_max_local = hierarchy_level_max_abs(h);
-      std::vector<double> lvl_max(lvl_max_local.size());
-      comm.allreduce(std::span<const double>(lvl_max_local.data(),
-                                             lvl_max_local.size()),
-                     std::span<double>(lvl_max.data(), lvl_max.size()),
-                     ReduceOp::Max);
-      guard.initialize(
-          guard_reference_max_abs(
-              std::span<const double>(lvl_max.data(), lvl_max.size()),
-              params_.precision_schedule),
-          PrecisionTraits<TLow>::max_finite);
-      mg_low = std::make_unique<Multigrid<TLow>>(
-          h, params_, /*tag_base=*/100, guard.scale(),
-          params_.precision_schedule,
-          std::span<const double>(lvl_max.data(), lvl_max.size()));
-      a_d = std::make_unique<DistOperator<double>>(
-          h.levels[0].a, h.structures[0].get(), params_.opt, /*tag=*/90);
-      gmres_ir = std::make_unique<GmresIr<TLow>>(a_d.get(),
-                                                 &mg_low->level_op(0),
-                                                 mg_low.get(), opts);
-      gmres_ir->set_scale_guard(&guard);
-      gmres_ir->set_stats(&stats);
+      mixed_stack = std::make_unique<MixedStack<TLow>>(comm, h, params_, opts);
+      mixed_stack->solver.set_stats(&stats);
     } else {
       mg_d = std::make_unique<Multigrid<double>>(h, params_);
       gmres_d =
@@ -277,7 +280,8 @@ PhaseResult BenchmarkDriver::run_phase_impl(bool mixed) {
       std::fill(x.begin(), x.end(), 0.0);  // each solve restarts from zero
       SolveResult res;
       if (mixed) {
-        res = gmres_ir->solve(comm, b, std::span<double>(x.data(), x.size()));
+        res = mixed_stack->solver.solve(comm, b,
+                                        std::span<double>(x.data(), x.size()));
       } else {
         res = gmres_d->solve(comm, b, std::span<double>(x.data(), x.size()));
       }

@@ -25,7 +25,6 @@
 
 #include "comm/comm_world.hpp"
 #include "core/gmres.hpp"
-#include "core/gmres_ir.hpp"
 #include "core/multigrid.hpp"
 #include "core/params.hpp"
 #include "perf/motifs.hpp"

@@ -122,21 +122,20 @@ struct MgLevelDims {
 };
 
 /// Main-memory bytes one V-cycle streams under a per-level value width:
-/// pre/post (or coarse) GS sweeps on every level, plus the fused
+/// one pre- and one post-smoothing GS sweep on every level (one on the
+/// coarsest — Multigrid's fixed forward-smoothing schedule), plus the fused
 /// restriction and the prolongation between adjacent levels, each charged
 /// at its level's format. `value_bytes[l]` is the stored width at level l
 /// (`value_bytes.size() == levels.size()`); with a uniform width this is
 /// exactly the sum of the templated per-motif formulas.
 [[nodiscard]] inline double mg_vcycle_bytes(
     std::span<const MgLevelDims> levels,
-    std::span<const std::size_t> value_bytes, int pre_sweeps, int post_sweeps,
-    int coarse_sweeps) {
+    std::span<const std::size_t> value_bytes) {
   double total = 0.0;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     const MgLevelDims& d = levels[l];
     const bool coarsest = (l + 1 == levels.size());
-    const int sweeps =
-        coarsest ? coarse_sweeps : pre_sweeps + post_sweeps;
+    const int sweeps = coarsest ? 1 : 2;
     total += sweeps * gs_sweep_bytes(d.nnz, d.rows, value_bytes[l]);
     if (!coarsest) {
       total += fused_restrict_bytes(d.nnz_coarse_rows, d.rows, d.coarse_rows,
@@ -155,11 +154,9 @@ struct MgLevelDims {
 /// same formula, per-cycle widths instead of one static set.
 [[nodiscard]] inline double ir_inner_iteration_bytes(
     std::span<const MgLevelDims> levels,
-    std::span<const std::size_t> value_bytes, int pre_sweeps, int post_sweeps,
-    int coarse_sweeps) {
+    std::span<const std::size_t> value_bytes) {
   return spmv_bytes(levels[0].nnz, levels[0].rows, value_bytes[0]) +
-         mg_vcycle_bytes(levels, value_bytes, pre_sweeps, post_sweeps,
-                         coarse_sweeps);
+         mg_vcycle_bytes(levels, value_bytes);
 }
 
 /// Network bytes one halo exchange moves, both directions: every boundary

@@ -1,7 +1,8 @@
 // Preconditioned Conjugate Gradient — the HPCG baseline (paper algorithm 1),
 // used by the §4.1 comparison ("when we ran HPCG ourselves on Frontier ...
-// 10.4 petaflops"). Preconditioner: one multigrid V-cycle with symmetric
-// (forward+backward) Gauss–Seidel smoothing, per the HPCG specification.
+// 10.4 petaflops"). Preconditioner: one Multigrid V-cycle in its symmetric
+// (forward+backward Gauss–Seidel) smoothing mode, per the HPCG
+// specification — callers switch it on with set_symmetric_smoothing(true).
 #pragma once
 
 #include <cmath>
@@ -10,125 +11,19 @@
 #include "base/fault.hpp"
 #include "blas/vector_ops.hpp"
 #include "core/dist_operator.hpp"
-#include "core/gmres.hpp"
+#include "core/gmres_ir.hpp"
 #include "core/multigrid.hpp"
 #include "core/reduction_lanes.hpp"
 
 namespace hpgmx {
 
-/// Symmetric-GS multigrid V-cycle preconditioner for CG: wraps the shared
-/// Multigrid<T> machinery with forward+backward sweeps so M stays symmetric.
-template <typename T>
-class SymmetricMultigrid {
- public:
-  SymmetricMultigrid(const ProblemHierarchy& hierarchy,
-                     const BenchParams& params, int tag_base = 500)
-      : hierarchy_(&hierarchy), params_(params) {
-    const int nl = static_cast<int>(hierarchy.levels.size());
-    for (int l = 0; l < nl; ++l) {
-      ops_.emplace_back(hierarchy.levels[static_cast<std::size_t>(l)].a,
-                        hierarchy.structures[static_cast<std::size_t>(l)].get(),
-                        params.opt, tag_base + l);
-    }
-    r_.resize(static_cast<std::size_t>(nl));
-    z_.resize(static_cast<std::size_t>(nl));
-    for (int l = 0; l < nl; ++l) {
-      const auto len = static_cast<std::size_t>(
-          ops_[static_cast<std::size_t>(l)].vec_len());
-      r_[static_cast<std::size_t>(l)].assign(len, T(0));
-      z_[static_cast<std::size_t>(l)].assign(len, T(0));
-    }
-  }
-
-  [[nodiscard]] DistOperator<T>& level_op(int l) {
-    return ops_[static_cast<std::size_t>(l)];
-  }
-
-  void set_stats(MotifStats* stats) {
-    for (auto& op : ops_) {
-      op.set_stats(stats);
-    }
-    stats_ = stats;
-  }
-
-  /// Attach/detach the SDC monitor on every level's halo exchange.
-  void set_sdc_monitor(SdcMonitor* monitor) {
-    for (auto& op : ops_) {
-      op.set_sdc_monitor(monitor);
-    }
-  }
-
-  /// Re-demote every level from its double source (SDC-rollback repair).
-  void redemote() {
-    for (auto& op : ops_) {
-      op.redemote();
-    }
-  }
-
-  void apply(Comm& comm, std::span<const T> r, std::span<T> z) {
-    auto& r0 = r_[0];
-    for (local_index_t i = 0; i < ops_[0].num_owned(); ++i) {
-      r0[static_cast<std::size_t>(i)] = r[static_cast<std::size_t>(i)];
-    }
-    cycle(comm, 0);
-    for (local_index_t i = 0; i < ops_[0].num_owned(); ++i) {
-      z[static_cast<std::size_t>(i)] = z_[0][static_cast<std::size_t>(i)];
-    }
-  }
-
- private:
-  void cycle(Comm& comm, int l) {
-    auto& op = ops_[static_cast<std::size_t>(l)];
-    auto& r = r_[static_cast<std::size_t>(l)];
-    auto& z = z_[static_cast<std::size_t>(l)];
-    std::fill(z.begin(), z.end(), T(0));
-    const bool coarsest = (l + 1 == static_cast<int>(ops_.size()));
-
-    // HPCG smoothing step: forward then backward sweep (symmetric GS).
-    op.gs_forward(comm, std::span<const T>(r.data(), r.size()),
-                  std::span<T>(z.data(), z.size()));
-    op.gs_backward(comm, std::span<const T>(r.data(), r.size()),
-                   std::span<T>(z.data(), z.size()));
-    if (coarsest) {
-      return;
-    }
-    auto& rc = r_[static_cast<std::size_t>(l + 1)];
-    const auto& c2f = hierarchy_->c2f[static_cast<std::size_t>(l)];
-    op.restrict_residual(
-        comm, std::span<const T>(r.data(), r.size()),
-        std::span<T>(z.data(), z.size()),
-        std::span<const local_index_t>(c2f.data(), c2f.size()),
-        hierarchy_->nnz_coarse_rows[static_cast<std::size_t>(l)],
-        std::span<T>(rc.data(), rc.size()));
-    cycle(comm, l + 1);
-    {
-      ScopedMotif sm(stats_, Motif::Prolong,
-                     prolong_flops(static_cast<local_index_t>(c2f.size())));
-      prolong_correct(std::span<const local_index_t>(c2f.data(), c2f.size()),
-                      std::span<const T>(z_[static_cast<std::size_t>(l + 1)].data(),
-                                         z_[static_cast<std::size_t>(l + 1)].size()),
-                      std::span<T>(z.data(), z.size()));
-    }
-    op.gs_forward(comm, std::span<const T>(r.data(), r.size()),
-                  std::span<T>(z.data(), z.size()));
-    op.gs_backward(comm, std::span<const T>(r.data(), r.size()),
-                   std::span<T>(z.data(), z.size()));
-  }
-
-  const ProblemHierarchy* hierarchy_;
-  BenchParams params_;
-  std::vector<DistOperator<T>> ops_;
-  std::vector<AlignedVector<T>> r_;
-  std::vector<AlignedVector<T>> z_;
-  MotifStats* stats_ = nullptr;
-};
-
 /// Preconditioned CG (paper algorithm 1) in precision T.
 template <typename T>
 class ConjugateGradient {
  public:
-  ConjugateGradient(DistOperator<T>* a, SymmetricMultigrid<T>* mg,
-                    SolverOptions opts)
+  /// `mg` (symmetric smoothing on; may be nullptr for unpreconditioned CG)
+  /// and `a` must outlive the solver.
+  ConjugateGradient(DistOperator<T>* a, Multigrid<T>* mg, SolverOptions opts)
       : a_(a), mg_(mg), opts_(opts) {}
 
   void set_stats(MotifStats* stats) {
@@ -372,7 +267,7 @@ class ConjugateGradient {
 
  private:
   DistOperator<T>* a_;
-  SymmetricMultigrid<T>* mg_;
+  Multigrid<T>* mg_;
   SolverOptions opts_;
   MotifStats* stats_ = nullptr;
   SdcMonitor* monitor_ = nullptr;

@@ -10,6 +10,11 @@
 // In double: outer residual/norm, Givens QR (host-redundant), and the
 // mixed-precision WAXPBY that applies the correction.
 //
+// This is the only GMRES loop. With TLow = double every step is double and
+// the iteration is paper algorithm 2; the double reference solver Gmres<double>
+// (core/gmres.hpp) is that instantiation with one operator as both a_high and
+// a_low.
+//
 // TLow is the *entry* format: with a progressive-precision schedule the
 // multigrid's coarse levels may narrow further (fp32 fine, bf16/fp16
 // coarse — see Multigrid and docs/MULTIGRID.md). The solver is oblivious:
@@ -24,18 +29,66 @@
 #include <vector>
 
 #include "base/aligned_vector.hpp"
+#include "base/cancel.hpp"
+#include "base/fault.hpp"
+#include "base/solve_status.hpp"
 #include "blas/multivector.hpp"
 #include "blas/vector_ops.hpp"
 #include "core/dist_operator.hpp"
 #include "core/givens.hpp"
-#include "core/gmres.hpp"
 #include "core/multigrid.hpp"
 #include "core/reduction_lanes.hpp"
 #include "perf/motifs.hpp"
 #include "precision/adaptive_controller.hpp"
+#include "precision/precision.hpp"
 #include "precision/scale_guard.hpp"
 
 namespace hpgmx {
+
+struct SolverOptions {
+  int restart = 30;
+  int max_iters = 300;
+  double tol = 1e-9;  ///< relative to ||b||
+  bool track_history = false;
+  /// Cooperative cancellation/deadline control. The trip decision rides an
+  /// existing reduction as one extra packed lane (core/reduction_lanes.hpp),
+  /// so all ranks exit the same iteration; with the default (inactive)
+  /// control the solvers keep their exact control-free message schedule and
+  /// bits.
+  SolveControl control;
+  /// SDC detection + recovery policy (base/fault.hpp). With detect on, the
+  /// corruption verdict rides the same packed reductions as the trip lane
+  /// (zero new collectives) and the outer iterate is checkpointed every
+  /// checkpoint_interval cycles for rollback; with the default (off) policy
+  /// the solvers keep their exact detection-free schedule and bits, and a
+  /// detection-on fault-free run is bit-identical to detection-off.
+  SdcPolicy sdc;
+};
+
+struct SolveResult {
+  int iterations = 0;  ///< Arnoldi steps performed (the benchmark's count)
+  /// Structured outcome (rank-uniform; see base/solve_status.hpp). A failed
+  /// solve still carries relative_residual (the last allreduce-derived
+  /// value) and final_precision so callers can decide on retry/promotion.
+  SolveStatus status = SolveStatus::Stagnated;
+  double relative_residual = 0.0;  ///< true relative residual at exit
+  /// Storage format the (final) iteration ran in: T for CG, the inner TLow
+  /// for GmresIr (Fp64 for Gmres<double>), and the last rung for
+  /// AdaptiveGmresIr.
+  Precision final_precision = Precision::Fp64;
+  std::vector<double> history;     ///< per-restart true relative residuals
+  /// A cycle observer asked the solver to stop so the caller can re-enter
+  /// at a promoted precision (GmresIr::set_cycle_observer); x holds the
+  /// warm iterate. Always false for CG and observer-less GMRES-IR.
+  bool switch_requested = false;
+  /// Checkpoint rollbacks performed after an SDC verdict (rank-uniform:
+  /// every rollback is decided from reduced lanes). 0 unless opts.sdc is on.
+  int recoveries = 0;
+
+  [[nodiscard]] bool converged() const {
+    return status == SolveStatus::Converged;
+  }
+};
 
 template <typename TLow = float>
 class GmresIr {

@@ -1,7 +1,9 @@
 // Geometric multigrid preconditioner (paper §2–§3): one V-cycle, forward
-// Gauss–Seidel smoothing, injection restriction (fused with the residual on
-// the optimized path), injection-transpose prolongation, re-discretized
-// coarse operators, four levels by default.
+// Gauss–Seidel smoothing (forward+backward in the symmetric mode CG needs),
+// one smoothing step before restriction, after prolongation and on the
+// coarsest level, injection restriction (fused with the residual on the
+// optimized path), injection-transpose prolongation, re-discretized coarse
+// operators, four levels by default.
 //
 // The precision-independent hierarchy (problems + injection maps +
 // orderings) is built once; DistOperator<T> instantiations for double and
@@ -158,7 +160,7 @@ class Multigrid {
             int tag_base = 100, double value_scale = 1.0,
             PrecisionSchedule schedule = {},
             std::span<const double> level_max_abs = {})
-      : hierarchy_(&hierarchy), params_(params) {
+      : hierarchy_(&hierarchy) {
     const int nl = static_cast<int>(hierarchy.levels.size());
     if (!schedule.empty()) {
       HPGMX_CHECK_MSG(
@@ -229,6 +231,11 @@ class Multigrid {
         },
         levels_[static_cast<std::size_t>(l)]);
   }
+
+  /// Symmetric smoothing: every forward Gauss–Seidel sweep is followed by a
+  /// backward one, so M⁻¹ is symmetric — the HPCG preconditioner CG needs.
+  /// Off by default: GMRES and GMRES-IR smooth forward only.
+  void set_symmetric_smoothing(bool symmetric) { symmetric_ = symmetric; }
 
   /// Per-level equilibration scale α_l (1.0 on every uniform path).
   [[nodiscard]] double level_scale(int l) const {
@@ -322,18 +329,12 @@ class Multigrid {
     auto& level = levels_[static_cast<std::size_t>(l)];
 
     std::visit(
-        [&](auto& lvl) {
+        [](auto& lvl) {
           using TL = typename std::decay_t<decltype(lvl)>::value_type;
           std::fill(lvl.z.begin(), lvl.z.end(), TL(0));
-          const int pre =
-              coarsest ? params_.coarse_sweeps : params_.pre_smooth_sweeps;
-          for (int s = 0; s < pre; ++s) {
-            lvl.op.gs_forward(
-                comm, std::span<const TL>(lvl.r.data(), lvl.r.size()),
-                std::span<TL>(lvl.z.data(), lvl.z.size()));
-          }
         },
         level);
+    smooth(comm, level);
     if (coarsest) {
       return;
     }
@@ -374,22 +375,29 @@ class Multigrid {
         },
         level, coarse);
 
+    smooth(comm, level);
+  }
+
+  /// One smoothing step of z toward A z = r on a level: a forward sweep,
+  /// then a backward one in symmetric mode.
+  void smooth(Comm& comm, LevelVariant& level) {
     std::visit(
         [&](auto& lvl) {
           using TL = typename std::decay_t<decltype(lvl)>::value_type;
-          for (int s = 0; s < params_.post_smooth_sweeps; ++s) {
-            lvl.op.gs_forward(
-                comm, std::span<const TL>(lvl.r.data(), lvl.r.size()),
-                std::span<TL>(lvl.z.data(), lvl.z.size()));
+          const std::span<const TL> r(lvl.r.data(), lvl.r.size());
+          const std::span<TL> z(lvl.z.data(), lvl.z.size());
+          lvl.op.gs_forward(comm, r, z);
+          if (symmetric_) {
+            lvl.op.gs_backward(comm, r, z);
           }
         },
         level);
   }
 
   const ProblemHierarchy* hierarchy_;
-  BenchParams params_;
   std::vector<LevelVariant> levels_;
   std::vector<double> level_scale_;
+  bool symmetric_ = false;
   MotifStats* stats_ = nullptr;
 };
 

@@ -50,9 +50,6 @@ struct BenchParams {
   int restart_length = 30;          ///< Table 1: 30
   int max_iters_per_solve = 300;    ///< Table 1: 300
   int mg_levels = 4;                ///< HPCG/HPG-MxP: 4
-  int pre_smooth_sweeps = 1;        ///< forward GS sweeps before restriction
-  int post_smooth_sweeps = 1;       ///< sweeps after prolongation
-  int coarse_sweeps = 1;            ///< sweeps on the coarsest level
 
   double validation_tol = 1e-9;     ///< Table 1: relative tolerance 1e-9
   int validation_max_iters = 10000; ///< §3.3: fullscale iteration cap

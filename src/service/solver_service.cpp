@@ -287,7 +287,8 @@ void SolverService::run_attempt(
       case SolverKind::Cg: {
         HPGMX_CHECK_MSG(d.gamma == 0.0,
                         "cg requires the symmetric (gamma=0) operator");
-        SymmetricMultigrid<double> mg(h, params);
+        Multigrid<double> mg(h, params);
+        mg.set_symmetric_smoothing(true);
         ConjugateGradient<double> solver(&mg.level_op(0), &mg, opts);
         if (monitor != nullptr) {
           solver.set_sdc(monitor);

@@ -339,9 +339,9 @@ TEST(ScheduleBytesModel, UniformVcycleMatchesPerMotifFormulas) {
   double expected = 0.0;
   for (std::size_t l = 0; l < dims.size(); ++l) {
     const bool coarsest = (l + 1 == dims.size());
-    const int sweeps = coarsest ? params.coarse_sweeps
-                                : params.pre_smooth_sweeps +
-                                      params.post_smooth_sweeps;
+    // Multigrid smooths once before restriction and once after
+    // prolongation, and once on the coarsest level.
+    const int sweeps = coarsest ? 1 : 2;
     expected += sweeps * gs_sweep_bytes<float>(dims[l].nnz, dims[l].rows);
     if (!coarsest) {
       expected += fused_restrict_bytes<float>(dims[l].nnz_coarse_rows,
@@ -353,9 +353,7 @@ TEST(ScheduleBytesModel, UniformVcycleMatchesPerMotifFormulas) {
   }
   const double modeled = mg_vcycle_bytes(
       std::span<const MgLevelDims>(dims.data(), dims.size()),
-      std::span<const std::size_t>(widths.data(), widths.size()),
-      params.pre_smooth_sweeps, params.post_smooth_sweeps,
-      params.coarse_sweeps);
+      std::span<const std::size_t>(widths.data(), widths.size()));
   EXPECT_DOUBLE_EQ(modeled, expected);
 }
 
@@ -370,9 +368,7 @@ TEST(ScheduleBytesModel, ProgressiveScheduleStreamsStrictlyFewerBytes) {
         schedule_value_bytes(s, nl, Precision::Fp32);
     return mg_vcycle_bytes(
         std::span<const MgLevelDims>(dims.data(), dims.size()),
-        std::span<const std::size_t>(widths.data(), widths.size()),
-        params.pre_smooth_sweeps, params.post_smooth_sweeps,
-        params.coarse_sweeps);
+        std::span<const std::size_t>(widths.data(), widths.size()));
   };
   const double uniform_fp32 = bytes_for(*parse_precision_schedule("fp32"));
   const double progressive =

@@ -14,8 +14,9 @@
 
 #include "comm/chaos.hpp"
 #include "comm/comm.hpp"
+#include "core/adaptive_ir.hpp"
 #include "core/cg.hpp"
-#include "core/gmres_ir.hpp"
+#include "core/gmres.hpp"
 #include "core/multigrid.hpp"
 #include "grid/problem.hpp"
 #include "grid/scenario.hpp"
@@ -292,6 +293,60 @@ TEST(SolverService, CgAndGmresKindsSolveTheSymmetricProblem) {
   }
 }
 
+// The two fp64 entry points run one GMRES loop: SolverKind::Gmres
+// (Gmres<double>) and SolverKind::GmresIr at inner fp64 (the retry ladder's
+// top rung, AdaptiveGmresIr over GmresIr<double>) agree bit for bit. The
+// service reports iterations/status/relres; the history and x are compared
+// on the same two stacks run_attempt builds, driven directly. 1x32^3 at
+// restart 5 is a configuration where a separate double GMRES loop (with a
+// two-pass cycle-top residual norm) drifted in the last ulps.
+TEST(SolverService, Fp64GmresAndGmresIrKindsAgreeBitwise) {
+  ProblemDescriptor d;
+  d.nx = d.ny = d.nz = 32;
+  d.restart = 5;
+  d.inner_precision = Precision::Fp64;
+  SolverService service(svc_config(1, 4, 4));
+  SolveRequest req;
+  req.desc = d;
+  req.desc.solver = SolverKind::Gmres;
+  const ServiceResult gmres = service.solve_now(req);
+  req.desc.solver = SolverKind::GmresIr;
+  const ServiceResult gmres_ir = service.solve_now(req);
+  ASSERT_TRUE(gmres.all_converged());
+  ASSERT_TRUE(gmres_ir.all_converged());
+  EXPECT_EQ(gmres.rhs[0].iterations, gmres_ir.rhs[0].iterations);
+  EXPECT_EQ(gmres.rhs[0].relative_residual, gmres_ir.rhs[0].relative_residual);
+  EXPECT_EQ(gmres_ir.rhs[0].final_precision, Precision::Fp64);
+
+  const auto entry = OperatorCache::build_entry(d);
+  const ProblemHierarchy& h = entry->hierarchy[0];
+  const BenchParams params = d.to_bench_params();
+  SolverOptions opts;
+  opts.restart = d.restart;
+  opts.max_iters = d.max_iters;
+  opts.tol = d.tol;
+  opts.track_history = true;
+  const std::span<const double> b(h.levels[0].b.data(), h.levels[0].b.size());
+  AlignedVector<double> x_gmres(b.size(), 0.0);
+  AlignedVector<double> x_ir(b.size(), 0.0);
+  SelfComm comm;
+  Multigrid<double> mg(h, params);
+  Gmres<double> reference(&mg.level_op(0), &mg, opts);
+  const SolveResult r_gmres = reference.solve(
+      comm, b, std::span<double>(x_gmres.data(), x_gmres.size()));
+  AdaptiveGmresIr top_rung(h, params, opts, entry->level_max);
+  const SolveResult r_ir =
+      top_rung.solve(comm, b, std::span<double>(x_ir.data(), x_ir.size()));
+  EXPECT_EQ(r_gmres.iterations, gmres.rhs[0].iterations);
+  EXPECT_EQ(r_gmres.relative_residual, gmres.rhs[0].relative_residual);
+  EXPECT_EQ(r_gmres.iterations, r_ir.iterations);
+  EXPECT_EQ(r_gmres.relative_residual, r_ir.relative_residual);
+  EXPECT_EQ(r_gmres.history, r_ir.history);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    ASSERT_EQ(x_gmres[i], x_ir[i]) << "entry " << i;
+  }
+}
+
 TEST(SolverService, GmresIrReportsTheRealizedPrecisionSequence) {
   SolverService service(svc_config(1, 4, 4));
 
@@ -421,12 +476,14 @@ TEST(ManyRhs, CgBatchMatchesIndependentSolvesBitwise) {
   }
   std::vector<SolveResult> batch_results;
   {
-    SymmetricMultigrid<double> mg(h, params);
+    Multigrid<double> mg(h, params);
+    mg.set_symmetric_smoothing(true);
     ConjugateGradient<double> cg(&mg.level_op(0), &mg, opts);
     batch_results = cg.solve_many(comm, rhs, x_batch);
   }
   for (int j = 0; j < batch; ++j) {
-    SymmetricMultigrid<double> mg(h, params);
+    Multigrid<double> mg(h, params);
+    mg.set_symmetric_smoothing(true);
     ConjugateGradient<double> cg(&mg.level_op(0), &mg, opts);
     AlignedVector<double> x(n, 0.0);
     const SolveResult single = cg.solve(

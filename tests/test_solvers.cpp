@@ -1,4 +1,4 @@
-// Solver tests: Givens QR, GMRES (double & float), GMRES-IR accuracy
+// Solver tests: Givens QR, GMRES (the double reference), GMRES-IR accuracy
 // equivalence, CG baseline, multigrid preconditioner quality, distributed
 // consistency across rank counts.
 #include <gtest/gtest.h>
@@ -160,22 +160,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(8, 16),
                        ::testing::Values(0.0, 0.2)));
 
-TEST(Gmres, UnpreconditionedStillConverges) {
-  BenchParams params;
-  const ProblemHierarchy h = make_hierarchy(8, params);
-  SelfComm comm;
-  DistOperator<double> a(h.levels[0].a, h.structures[0].get(), params.opt, 10);
-  SolverOptions opts;
-  opts.max_iters = 2000;
-  opts.tol = 1e-8;
-  Gmres<double> solver(&a, nullptr, opts);
-  AlignedVector<double> x(h.levels[0].b.size(), 0.0);
-  const SolveResult res = solver.solve(
-      comm, std::span<const double>(h.levels[0].b.data(), h.levels[0].b.size()),
-      std::span<double>(x.data(), x.size()));
-  EXPECT_TRUE(res.converged());
-}
-
 TEST(Gmres, ResidualHistoryIsMonotonePerRestart) {
   BenchParams params;
   const ProblemHierarchy h = make_hierarchy(16, params);
@@ -196,29 +180,6 @@ TEST(Gmres, ResidualHistoryIsMonotonePerRestart) {
     // residuals must not increase.
     EXPECT_LE(res.history[i], res.history[i - 1] * (1 + 1e-10));
   }
-}
-
-TEST(Gmres, FloatAloneStallsAboveDoubleTolerance) {
-  // Pure fp32 GMRES cannot converge 9 orders of magnitude — the reason the
-  // benchmark prescribes IR around the low-precision cycles.
-  BenchParams params;
-  const ProblemHierarchy h = make_hierarchy(16, params);
-  SelfComm comm;
-  Multigrid<float> mg(h, params);
-  SolverOptions opts;
-  opts.max_iters = 200;
-  opts.tol = 1e-9;
-  Gmres<float> solver(&mg.level_op(0), &mg, opts);
-  AlignedVector<float> bf(h.levels[0].b.size());
-  for (std::size_t i = 0; i < bf.size(); ++i) {
-    bf[i] = static_cast<float>(h.levels[0].b[i]);
-  }
-  AlignedVector<float> x(bf.size(), 0.0f);
-  const SolveResult res =
-      solver.solve(comm, std::span<const float>(bf.data(), bf.size()),
-                   std::span<float>(x.data(), x.size()));
-  EXPECT_FALSE(res.converged());
-  EXPECT_GT(res.relative_residual, 1e-9);
 }
 
 TEST(GmresIr, ReachesDoubleAccuracy) {
@@ -279,7 +240,8 @@ TEST(Cg, ConvergesOnSymmetricProblem) {
   BenchParams params;
   const ProblemHierarchy h = make_hierarchy(16, params);
   SelfComm comm;
-  SymmetricMultigrid<double> mg(h, params);
+  Multigrid<double> mg(h, params);
+  mg.set_symmetric_smoothing(true);
   SolverOptions opts;
   opts.max_iters = 500;
   opts.tol = 1e-9;
