@@ -44,6 +44,10 @@ void add_kernels(std::vector<KernelSample>& out, const Problem& prob,
   AlignedVector<T> x(static_cast<std::size_t>(a.num_cols), T(1));
   AlignedVector<T> y(static_cast<std::size_t>(n), T(0));
   AlignedVector<T> b(static_cast<std::size_t>(n), T(1));
+  AlignedVector<local_index_t> rows(static_cast<std::size_t>(n));
+  for (local_index_t r = 0; r < n; ++r) {
+    rows[static_cast<std::size_t>(r)] = r;  // every row: one rank's list
+  }
 
   out.push_back(time_kernel<T>(
       (std::string("GS-multicolor-") + suffix).c_str(),
@@ -56,8 +60,9 @@ void add_kernels(std::vector<KernelSample>& out, const Problem& prob,
       (std::string("SpMV-ell-") + suffix).c_str(),
       static_cast<double>(spmv_flops(nnz)),
       spmv_bytes(nnz, n, PrecisionTraits<T>::bytes), reps, [&] {
-        ell_spmv(e, std::span<const T>(x.data(), x.size()),
-                 std::span<T>(y.data(), y.size()));
+        ell_spmv_rows(e, std::span<const T>(x.data(), x.size()),
+                      std::span<T>(y.data(), y.size()),
+                      std::span<const local_index_t>(rows.data(), rows.size()));
       }));
 
   // Fused SpMV-restriction (the two unlabelled kernels of Fig. 8).

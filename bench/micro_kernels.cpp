@@ -3,7 +3,7 @@
 // harness always builds and owns its JSON schema):
 //
 //   CSR vs ELL SpMV                                    (§3.2.2)
-//   scalar vs staged (blocked fp32-widening) 16-bit ELL SpMV and colored GS
+//   the multicolor ELL Gauss–Seidel sweep                (§3.2.1)
 //   fused vs unfused solver passes: spmv_dot, waxpby_norm, residual_norm,
 //     and the CGS2 gemv_n_sub + norm fusion
 //   batched vs scalar bf16/fp16 <-> fp32 span conversions
@@ -17,10 +17,13 @@
 //
 //   $ ./micro_kernels [--json]
 //
+// The ELL rows time the kernels the solver runs: the row-list SpMV over
+// every row (one rank's interior list) and the colored row-list GS sweep.
+//
 // --json emits one machine-readable object on stdout (the BENCH_kernels
 // perf-trajectory format; see bench/run_bench.sh). Exit code: nonzero when
-// any 16-bit ELL SpMV variant's modeled bytes/row is not strictly below the
-// fp32 baseline.
+// any 16-bit ELL SpMV row's modeled bytes/row is not strictly below the
+// fp32 row's.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -47,7 +50,7 @@ using namespace hpgmx;
 struct Row {
   std::string kernel;   ///< e.g. "spmv_ell"
   std::string format;   ///< "fp64" / "fp32" / "bf16" / "fp16"
-  std::string variant;  ///< "scalar" / "staged" / "fused" / "unfused" / ...
+  std::string variant;  ///< "scalar" / "rowlist" / "fused" / "unfused" / ...
   double bytes = 0;          ///< modeled streaming bytes per call
   double bytes_per_row = 0;  ///< modeled bytes per matrix row (0: vector op)
   double seconds = 0;        ///< measured seconds per call
@@ -97,6 +100,15 @@ Problem make_problem(local_index_t n) {
   return generate_problem(pgrid, 0, pp);
 }
 
+/// The row list 0..n-1: the row-list kernels over every row.
+AlignedVector<local_index_t> all_rows(local_index_t n) {
+  AlignedVector<local_index_t> rows(static_cast<std::size_t>(n));
+  for (local_index_t r = 0; r < n; ++r) {
+    rows[static_cast<std::size_t>(r)] = r;
+  }
+  return rows;
+}
+
 template <typename T>
 void add_spmv(std::vector<Row>& out, const Problem& prob, double target) {
   const CsrMatrix<T> a = prob.a.convert<T>();
@@ -113,18 +125,12 @@ void add_spmv(std::vector<Row>& out, const Problem& prob, double target) {
              std::span<T>(y.data(), y.size()));
   }));
   const double ell_b = spmv_bytes(e.padded_nnz(), n, vb);
-  out.push_back(make_row("spmv_ell", fmt, "scalar", ell_b, n, target, [&] {
-    ell_spmv_scalar(e, std::span<const T>(x.data(), x.size()),
-                    std::span<T>(y.data(), y.size()));
+  const AlignedVector<local_index_t> rows = all_rows(n);
+  out.push_back(make_row("spmv_ell", fmt, "rowlist", ell_b, n, target, [&] {
+    ell_spmv_rows(e, std::span<const T>(x.data(), x.size()),
+                  std::span<T>(y.data(), y.size()),
+                  std::span<const local_index_t>(rows.data(), rows.size()));
   }));
-  if constexpr (detail::is_16bit_value_v<T>) {
-    // The production dispatch (ell_spmv) takes the staged path for 16-bit
-    // types; the scalar row above is the promote-through-float ablation.
-    out.push_back(make_row("spmv_ell", fmt, "staged", ell_b, n, target, [&] {
-      ell_spmv(e, std::span<const T>(x.data(), x.size()),
-               std::span<T>(y.data(), y.size()));
-    }));
-  }
 }
 
 template <typename T>
@@ -140,19 +146,10 @@ void add_gs(std::vector<Row>& out, const Problem& prob, double target) {
   const double b =
       gs_sweep_bytes(e.padded_nnz(), n, PrecisionTraits<T>::bytes);
   out.push_back(
-      make_row("gs_multicolor_ell", fmt, "scalar", b, n, target, [&] {
-        gs_sweep_colored_ell_scalar(e, part,
-                                    std::span<const T>(r.data(), r.size()),
-                                    std::span<T>(z.data(), z.size()));
+      make_row("gs_multicolor_ell", fmt, "rowlist", b, n, target, [&] {
+        gs_sweep_colored_ell(e, part, std::span<const T>(r.data(), r.size()),
+                             std::span<T>(z.data(), z.size()));
       }));
-  if constexpr (detail::is_16bit_value_v<T>) {
-    out.push_back(
-        make_row("gs_multicolor_ell", fmt, "staged", b, n, target, [&] {
-          gs_sweep_colored_ell(e, part,
-                               std::span<const T>(r.data(), r.size()),
-                               std::span<T>(z.data(), z.size()));
-        }));
-  }
 }
 
 template <typename T>
@@ -330,8 +327,8 @@ void add_blas1(std::vector<Row>& out, std::size_t len, double target) {
   return nullptr;
 }
 
-void print_json(const std::vector<Row>& rows, local_index_t nx, bool gate_pass,
-                double bf16_speedup, double fp16_speedup) {
+void print_json(const std::vector<Row>& rows, local_index_t nx,
+                bool gate_pass) {
   std::printf("{\n");
   std::printf("  \"exhibit\": \"micro_kernels\",\n");
   std::printf("  \"local_grid\": [%d, %d, %d],\n", nx, nx, nx);
@@ -348,9 +345,6 @@ void print_json(const std::vector<Row>& rows, local_index_t nx, bool gate_pass,
                 i + 1 < rows.size() ? "," : "");
   }
   std::printf("  ],\n");
-  std::printf("  \"staged_16bit_spmv_speedup\": "
-              "{\"bf16\": %.6g, \"fp16\": %.6g},\n",
-              bf16_speedup, fp16_speedup);
   std::printf("  \"gate\": {\"rule\": \"16-bit ELL SpMV modeled bytes/row "
               "strictly below fp32\", \"pass\": %s}\n",
               gate_pass ? "true" : "false");
@@ -366,7 +360,7 @@ int main(int argc, char** argv) {
   const double target = env_double_or("HPGMX_BENCH_SECONDS", 0.15);
   if (!json) {
     bench::banner("micro_kernels",
-                  "per-kernel ablations: CSR/ELL, scalar vs staged 16-bit, "
+                  "per-kernel ablations: CSR/ELL SpMV, colored GS, "
                   "fused vs unfused solver passes, batched conversions");
   }
 
@@ -394,23 +388,11 @@ int main(int argc, char** argv) {
   add_blas1<float>(rows, veclen, target);
   add_blas1<bf16_t>(rows, veclen, target);
 
-  // Staged-vs-scalar 16-bit SpMV speedup (same kernel, same modeled bytes,
-  // so the GB/s ratio is a pure time ratio).
-  auto speedup = [&](const char* fmt) {
-    const Row* staged = find_row(rows, "spmv_ell", fmt, "staged");
-    const Row* scalar = find_row(rows, "spmv_ell", fmt, "scalar");
-    return (staged != nullptr && scalar != nullptr && staged->seconds > 0)
-               ? scalar->seconds / staged->seconds
-               : 0.0;
-  };
-  const double bf16_speedup = speedup("bf16");
-  const double fp16_speedup = speedup("fp16");
-
   // Smoke gate for CI: the memory-wall invariant. A 16-bit ELL SpMV must
   // model strictly fewer bytes per row than the fp32 kernel; if a format or
   // layout change regresses that, the whole mixed-precision speedup story is
   // broken and the benchmark exits nonzero.
-  const Row* f32 = find_row(rows, "spmv_ell", "fp32", "scalar");
+  const Row* f32 = find_row(rows, "spmv_ell", "fp32", "rowlist");
   bool gate_pass = f32 != nullptr;
   for (const Row& r : rows) {
     if (r.kernel == "spmv_ell" && (r.format == "bf16" || r.format == "fp16")) {
@@ -420,7 +402,7 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    print_json(rows, nx, gate_pass, bf16_speedup, fp16_speedup);
+    print_json(rows, nx, gate_pass);
   } else {
     std::printf("%-16s %-6s %-8s %10s %12s %12s %7s\n", "kernel", "format",
                 "variant", "GB/s", "bytes/row", "us/call", "reps");
@@ -429,10 +411,7 @@ int main(int argc, char** argv) {
                   r.kernel.c_str(), r.format.c_str(), r.variant.c_str(),
                   r.gbs(), r.bytes_per_row, r.seconds * 1e6, r.reps);
     }
-    std::printf("\nstaged 16-bit ELL SpMV speedup vs scalar: bf16 %.2fx, "
-                "fp16 %.2fx\n",
-                bf16_speedup, fp16_speedup);
-    std::printf("gate (16-bit SpMV bytes/row < fp32): %s\n",
+    std::printf("\ngate (16-bit SpMV bytes/row < fp32): %s\n",
                 gate_pass ? "PASS" : "FAIL");
   }
   return gate_pass ? 0 : 1;

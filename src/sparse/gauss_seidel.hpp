@@ -7,7 +7,14 @@
 //   sequential lexicographic sweep but two passes over the matrix.
 // * Optimized (§3.2.1): "relaxation" form, one fused sweep over the matrix,
 //   processed color-by-color over an independent-set (JPL) partition; rows
-//   of a color touch no common unknown and run fully parallel.
+//   of a color touch no common unknown and run fully parallel. The ELL
+//   sweep is one blocked row-list kernel (gs_sweep_rows_ell) built on the
+//   accumulate helper the ELL SpMV uses (kernels.hpp), so 16-bit formats
+//   take the same widen-to-fp32 tiles there as in the SpMV.
+//
+// The CSR colored sweeps (gs_sweep_colored, gs_sweep_colored_backward) are
+// the promote-through-float references the ELL kernel is tested against;
+// the backward one is also the second half of CG's symmetric smoother.
 //
 // Distributed semantics: halo entries of z hold neighbor values exchanged
 // before the sweep; they act as frozen (block-Jacobi) boundary values, as in
@@ -18,9 +25,9 @@
 #include <span>
 
 #include "base/types.hpp"
-#include "precision/convert_batch.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
+#include "sparse/kernels.hpp"
 #include "sparse/row_partition.hpp"
 #include "sparse/sptrsv.hpp"
 
@@ -88,167 +95,10 @@ inline T gs_row_update(const std::int64_t* rp, const local_index_t* ci,
   return (acc + dv[row] * zv[row]) / dv[row];
 }
 
-template <typename T>
-inline T gs_row_update_ell(const local_index_t n, const local_index_t slots,
-                           const local_index_t* ci, const T* av, const T* dv,
-                           const T* rv, const T* zv, local_index_t row) {
-  accum_t<T> acc = rv[row];
-  for (local_index_t s = 0; s < slots; ++s) {
-    const std::size_t at =
-        static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
-        static_cast<std::size_t>(row);
-    acc -= av[at] * zv[ci[at]];
-  }
-  return (acc + dv[row] * zv[row]) / dv[row];
-}
-
-/// Row-list block size for ELL sweeps; the accumulator block lives in L1
-/// while the slot loop streams values/columns near-unit-stride (the rows of
-/// one color are sorted).
-inline constexpr std::size_t kGsBlockRows = 1024;
-
-/// Scalar blocked relaxation update over a sorted row list (one independent
-/// set or a subset of it): slot loop outside the block so the slot-major
-/// arrays stream instead of striding by num_rows per row. This is the
-/// ablation baseline for the staged 16-bit path below (and the production
-/// kernel for the hardware types).
-template <typename T>
-void gs_update_rows_ell_blocked_scalar(const EllMatrix<T>& a,
-                                       const T* __restrict rv,
-                                       T* __restrict zv,
-                                       std::span<const local_index_t> rows) {
-  const local_index_t n = a.num_rows;
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  const T* __restrict dv = a.diag.data();
-  const std::size_t nk = rows.size();
-  const std::size_t nblocks = (nk + kGsBlockRows - 1) / kGsBlockRows;
-#pragma omp parallel for schedule(static)
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t k0 = blk * kGsBlockRows;
-    const std::size_t k1 = std::min(nk, k0 + kGsBlockRows);
-    accum_t<T> acc[kGsBlockRows];
-    for (std::size_t k = k0; k < k1; ++k) {
-      acc[k - k0] = rv[rows[k]];
-    }
-    for (local_index_t s = 0; s < a.slots; ++s) {
-      const std::size_t base =
-          static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
-      for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t at = base + static_cast<std::size_t>(rows[k]);
-        acc[k - k0] -= av[at] * zv[ci[at]];
-      }
-    }
-    for (std::size_t k = k0; k < k1; ++k) {
-      const local_index_t row = rows[k];
-      zv[row] = (acc[k - k0] + dv[row] * zv[row]) / dv[row];
-    }
-  }
-}
-
-/// Staged 16-bit relaxation update: per slot, gather the value/solution
-/// tiles through the row list, widen them into fp32 staging buffers with
-/// the batched primitives (convert_batch.hpp), and FMA at unit stride —
-/// the scalar loop converts every operand individually inside the hot loop
-/// and never vectorizes. The final diagonal solve runs on widened tiles
-/// too, with one batched narrow on the store.
-template <typename T>
-void gs_update_rows_ell_staged16(const EllMatrix<T>& a,
-                                 const T* __restrict rv, T* __restrict zv,
-                                 std::span<const local_index_t> rows) {
-  static_assert(is_16bit_value_v<T>);
-  const local_index_t n = a.num_rows;
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  const T* __restrict dv = a.diag.data();
-  const std::size_t nk = rows.size();
-  const std::size_t nblocks = (nk + kGsBlockRows - 1) / kGsBlockRows;
-#pragma omp parallel for schedule(static)
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t k0 = blk * kGsBlockRows;
-    const std::size_t len = std::min(nk, k0 + kGsBlockRows) - k0;
-    const local_index_t* __restrict rws = rows.data() + k0;
-    float acc[kGsBlockRows];
-    float vstage[kGsBlockRows];
-    float zstage[kGsBlockRows];
-    T vtile[kGsBlockRows];
-    T ztile[kGsBlockRows];
-    for (std::size_t k = 0; k < len; ++k) {
-      ztile[k] = rv[rws[k]];
-    }
-    widen_block(ztile, acc, len);
-    for (local_index_t s = 0; s < a.slots; ++s) {
-      const std::size_t base =
-          static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
-      for (std::size_t k = 0; k < len; ++k) {
-        const std::size_t at = base + static_cast<std::size_t>(rws[k]);
-        vtile[k] = av[at];
-        ztile[k] = zv[ci[at]];
-      }
-      widen_block(vtile, vstage, len);
-      widen_block(ztile, zstage, len);
-#pragma omp simd
-      for (std::size_t k = 0; k < len; ++k) {
-        acc[k] -= vstage[k] * zstage[k];
-      }
-    }
-    // (acc + d·z_old) / d on widened diagonal/solution tiles, narrowed once.
-    for (std::size_t k = 0; k < len; ++k) {
-      vtile[k] = dv[rws[k]];
-      ztile[k] = zv[rws[k]];
-    }
-    widen_block(vtile, vstage, len);
-    widen_block(ztile, zstage, len);
-#pragma omp simd
-    for (std::size_t k = 0; k < len; ++k) {
-      acc[k] = (acc[k] + vstage[k] * zstage[k]) / vstage[k];
-    }
-    narrow_block(acc, ztile, len);
-    for (std::size_t k = 0; k < len; ++k) {
-      zv[rws[k]] = ztile[k];
-    }
-  }
-}
-
-/// Blocked relaxation update over a sorted row list, dispatching 16-bit
-/// value types to the staged path.
-template <typename T>
-void gs_update_rows_ell_blocked(const EllMatrix<T>& a, const T* __restrict rv,
-                                T* __restrict zv,
-                                std::span<const local_index_t> rows) {
-  if constexpr (is_16bit_value_v<T>) {
-    gs_update_rows_ell_staged16(a, rv, zv, rows);
-  } else {
-    gs_update_rows_ell_blocked_scalar(a, rv, zv, rows);
-  }
-}
-
 }  // namespace detail
 
-/// One forward multicolor GS sweep (CSR): colors processed in ascending
-/// order, rows within a color in parallel. Equivalent to sequential GS in
-/// the color-sorted row ordering.
-template <typename T>
-void gs_sweep_colored(const CsrMatrix<T>& a, const RowPartition& colors,
-                      std::span<const T> r, std::span<T> z) {
-  const std::int64_t* __restrict rp = a.row_ptr.data();
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  const T* __restrict dv = a.diag.data();
-  const T* __restrict rv = r.data();
-  T* __restrict zv = z.data();
-  for (int c = 0; c < colors.num_groups(); ++c) {
-    const auto rows = colors.group(c);
-#pragma omp parallel for schedule(static)
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      const local_index_t row = rows[k];
-      zv[row] = detail::gs_row_update(rp, ci, av, dv, rv, zv, row);
-    }
-  }
-}
-
-/// Colored sweep over a single row subset (one color's interior or boundary
-/// rows) — building block of the overlapped distributed sweep.
+/// Relaxation sweep over one row subset (CSR; rows must form an
+/// independent set, e.g. one color), rows in parallel.
 template <typename T>
 void gs_sweep_rows(const CsrMatrix<T>& a, std::span<const local_index_t> rows,
                    std::span<const T> r, std::span<T> z) {
@@ -265,35 +115,15 @@ void gs_sweep_rows(const CsrMatrix<T>& a, std::span<const local_index_t> rows,
   }
 }
 
-/// One forward multicolor GS sweep (ELL), blocked per color. 16-bit value
-/// types take the staged (widen-once, FMA-at-unit-stride) path.
+/// One forward multicolor GS sweep (CSR): colors processed in ascending
+/// order, rows within a color in parallel. Equivalent to sequential GS in
+/// the color-sorted row ordering.
 template <typename T>
-void gs_sweep_colored_ell(const EllMatrix<T>& a, const RowPartition& colors,
-                          std::span<const T> r, std::span<T> z) {
+void gs_sweep_colored(const CsrMatrix<T>& a, const RowPartition& colors,
+                      std::span<const T> r, std::span<T> z) {
   for (int c = 0; c < colors.num_groups(); ++c) {
-    detail::gs_update_rows_ell_blocked(a, r.data(), z.data(),
-                                       colors.group(c));
+    gs_sweep_rows(a, colors.group(c), r, z);
   }
-}
-
-/// Scalar-path colored ELL sweep (promote-through-float per element) — the
-/// ablation baseline micro_kernels measures the staged 16-bit sweep against.
-template <typename T>
-void gs_sweep_colored_ell_scalar(const EllMatrix<T>& a,
-                                 const RowPartition& colors,
-                                 std::span<const T> r, std::span<T> z) {
-  for (int c = 0; c < colors.num_groups(); ++c) {
-    detail::gs_update_rows_ell_blocked_scalar(a, r.data(), z.data(),
-                                              colors.group(c));
-  }
-}
-
-/// ELL row-subset sweep (rows must form an independent set).
-template <typename T>
-void gs_sweep_rows_ell(const EllMatrix<T>& a,
-                       std::span<const local_index_t> rows,
-                       std::span<const T> r, std::span<T> z) {
-  detail::gs_update_rows_ell_blocked(a, r.data(), z.data(), rows);
 }
 
 /// One *backward* multicolor sweep (colors in descending order): combined
@@ -303,19 +133,44 @@ template <typename T>
 void gs_sweep_colored_backward(const CsrMatrix<T>& a,
                                const RowPartition& colors,
                                std::span<const T> r, std::span<T> z) {
-  const std::int64_t* __restrict rp = a.row_ptr.data();
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  const T* __restrict dv = a.diag.data();
+  for (int c = colors.num_groups() - 1; c >= 0; --c) {
+    gs_sweep_rows(a, colors.group(c), r, z);
+  }
+}
+
+/// ELL relaxation sweep over a sorted row subset that forms an independent
+/// set (one color, or its interior/boundary part): per block, z_new =
+/// (r − Σ_s a_s·z + d·z_old) / d — the diagonal term is subtracted with the
+/// rest and added back, so the slot loop needs no branch.
+template <typename T>
+void gs_sweep_rows_ell(const EllMatrix<T>& a,
+                       std::span<const local_index_t> rows,
+                       std::span<const T> r, std::span<T> z) {
   const T* __restrict rv = r.data();
   T* __restrict zv = z.data();
-  for (int c = colors.num_groups() - 1; c >= 0; --c) {
-    const auto rows = colors.group(c);
-#pragma omp parallel for schedule(static)
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      const local_index_t row = rows[k];
-      zv[row] = detail::gs_row_update(rp, ci, av, dv, rv, zv, row);
-    }
+  detail::for_each_row_block(
+      rows, [&](std::size_t, const local_index_t* rws, std::size_t len) {
+        accum_t<T> acc[detail::kEllBlockRows];
+        accum_t<T> d[detail::kEllBlockRows];
+        accum_t<T> z_old[detail::kEllBlockRows];
+        detail::gather_widen(rv, rws, len, acc);
+        detail::ell_rows_accumulate<true>(a, zv, rws, len, acc);
+        detail::gather_widen(a.diag.data(), rws, len, d);
+        detail::gather_widen(zv, rws, len, z_old);
+#pragma omp simd
+        for (std::size_t k = 0; k < len; ++k) {
+          acc[k] = (acc[k] + d[k] * z_old[k]) / d[k];
+        }
+        detail::narrow_scatter(acc, rws, len, zv);
+      });
+}
+
+/// One forward multicolor GS sweep (ELL), colors in ascending order.
+template <typename T>
+void gs_sweep_colored_ell(const EllMatrix<T>& a, const RowPartition& colors,
+                          std::span<const T> r, std::span<T> z) {
+  for (int c = 0; c < colors.num_groups(); ++c) {
+    gs_sweep_rows_ell(a, colors.group(c), r, z);
   }
 }
 

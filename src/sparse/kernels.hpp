@@ -1,18 +1,21 @@
 // Local (on-rank) sparse kernels: SpMV, residual, fused residual-restrict,
-// fused SpMV+dot / residual+norm passes, and row-subset variants used by the
-// compute–communication overlap engine.
+// and the fused SpMV+dot / residual+norm passes.
 //
 // All kernels are bandwidth-bound streaming loops; OpenMP parallelizes the
 // row dimension. Accumulation happens in accum_t of the matrix value type,
 // matching the GPU kernels of the paper (16-bit storage promotes through
 // float; no hidden extra precision beyond that).
 //
-// 16-bit value types take a *staged* ELL path: each row block widens a tile
-// of `values` (and the gathered `x` entries) into an fp32 staging buffer
-// with the batched primitives of precision/convert_batch.hpp, then FMAs
-// across slots at unit stride — the scalar promote-through-float loop
-// converts one element at a time inside the hot loop and never vectorizes.
-// The scalar path stays available as *_scalar for ablation benchmarks.
+// The optimized path has one ELL kernel per motif, and every one walks a
+// sorted row list (the operator's interior and boundary rows; all rows are
+// interior on one rank) in kEllBlockRows-entry blocks with the slot loop
+// outside the block: ell_spmv_rows, ell_spmv_rows_dot here, and the
+// colored Gauss–Seidel row update in gauss_seidel.hpp. They share one
+// accumulate helper whose only type-dependent step is loading — 16-bit
+// value types gather a tile, widen it to fp32 with the batched primitives
+// of precision/convert_batch.hpp and FMA at unit stride (converting one
+// element at a time inside the hot loop never vectorizes); double and
+// float load directly.
 //
 // The fused reduction kernels (csr_spmv_dot, ell_spmv_rows_dot,
 // csr_residual_norm) compute their dot/norm as *ordered per-block partial
@@ -23,6 +26,7 @@
 // blocks); tests/test_fused.cpp checks it kernel by kernel.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 
@@ -37,73 +41,119 @@
 namespace hpgmx {
 
 namespace detail {
-/// Row-block size for ELL traversal: the y sub-block stays L1-resident while
-/// the slot loop streams values/columns unit-stride within the block. Also
-/// the partial-sum granularity of the fused reduction kernels — it must
-/// equal kReduceBlock (vector_ops.hpp) for the fused kernels to reproduce
-/// the blocked reductions' bits.
+/// Row-block size for ELL traversal: the accumulator block stays
+/// L1-resident while the slot loop streams values/columns near-unit-stride
+/// within the block. Also the partial-sum granularity of the fused
+/// reduction kernels — it must equal kReduceBlock (vector_ops.hpp) for the
+/// fused kernels to reproduce the blocked reductions' bits.
 inline constexpr local_index_t kEllBlockRows = 1024;
 static_assert(static_cast<std::size_t>(kEllBlockRows) == kReduceBlock,
               "fused kernels and blocked reductions must share one block "
               "size or the fused reductions stop matching them bit for bit");
 
-/// Staged 16-bit accumulation over one contiguous ELL row block
-/// [r0, r0+len): per slot, widen the contiguous value tile and the gathered
-/// x tile into fp32 staging buffers, then FMA at unit stride.
+/// Number of kEllBlockRows-entry blocks covering an n-entry row list.
+[[nodiscard]] inline std::size_t num_row_blocks(std::size_t n) {
+  const auto block = static_cast<std::size_t>(kEllBlockRows);
+  return (n + block - 1) / block;
+}
+
+/// f(blk, rows, len) for each consecutive kEllBlockRows-entry block of a
+/// row list, blocks in parallel.
+template <typename F>
+inline void for_each_row_block(std::span<const local_index_t> rows, F&& f) {
+  const auto block = static_cast<std::size_t>(kEllBlockRows);
+  const std::size_t nblocks = num_row_blocks(rows.size());
+#pragma omp parallel for schedule(static)
+  for (std::size_t blk = 0; blk < nblocks; ++blk) {
+    const std::size_t k0 = blk * block;
+    f(blk, rows.data() + k0, std::min(rows.size(), k0 + block) - k0);
+  }
+}
+
+/// dst[k] = src[idx[k]] widened to accum_t<T>, k < len ≤ kEllBlockRows:
+/// one batched widen_block for the 16-bit types, a plain gather otherwise.
 template <typename T>
-inline void ell_block_accumulate_staged(const EllMatrix<T>& a,
-                                        const T* __restrict xv, float* acc,
-                                        local_index_t r0, std::size_t len) {
-  static_assert(is_16bit_value_v<T>);
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  float vstage[kEllBlockRows];
-  float xstage[kEllBlockRows];
-  T xtile[kEllBlockRows];
-  for (local_index_t s = 0; s < a.slots; ++s) {
-    const std::size_t base = static_cast<std::size_t>(s) *
-                                 static_cast<std::size_t>(a.num_rows) +
-                             static_cast<std::size_t>(r0);
-    widen_block(av + base, vstage, len);
-    const local_index_t* cols = ci + base;
+inline void gather_widen(const T* __restrict src,
+                         const local_index_t* __restrict idx, std::size_t len,
+                         accum_t<T>* __restrict dst) {
+  if constexpr (is_16bit_value_v<T>) {
+    T tile[kEllBlockRows];
     for (std::size_t k = 0; k < len; ++k) {
-      xtile[k] = xv[cols[k]];
+      tile[k] = src[idx[k]];
     }
-    widen_block(xtile, xstage, len);
-#pragma omp simd
+    widen_block(tile, dst, len);
+  } else {
     for (std::size_t k = 0; k < len; ++k) {
-      acc[k] += vstage[k] * xstage[k];
+      dst[k] = src[idx[k]];
     }
   }
 }
 
-/// Staged 16-bit accumulation over a row-list block rows[k0..k0+len): like
-/// the contiguous variant but the value/column streams are gathered through
-/// the (sorted, near-contiguous) row list before widening.
+/// dst[idx[k]] = T(src[k]), k < len ≤ kEllBlockRows: one batched
+/// narrow_block for the 16-bit types, a plain scatter otherwise.
 template <typename T>
-inline void ell_block_accumulate_staged_rows(
-    const EllMatrix<T>& a, const T* __restrict xv, float* acc,
-    const local_index_t* __restrict rows, std::size_t len) {
-  static_assert(is_16bit_value_v<T>);
+inline void narrow_scatter(const accum_t<T>* __restrict src,
+                           const local_index_t* __restrict idx,
+                           std::size_t len, T* __restrict dst) {
+  if constexpr (is_16bit_value_v<T>) {
+    T tile[kEllBlockRows];
+    narrow_block(src, tile, len);
+    for (std::size_t k = 0; k < len; ++k) {
+      dst[idx[k]] = tile[k];
+    }
+  } else {
+    for (std::size_t k = 0; k < len; ++k) {
+      dst[idx[k]] = src[k];
+    }
+  }
+}
+
+/// acc[k] += (or, with Subtract, −=) Σ_s A(rows[k], s) · x[col(rows[k], s)]
+/// over one block of a sorted row list (len ≤ kEllBlockRows), slots in
+/// order. Slot loop outside the block, so the slot-major value and column
+/// streams are walked near-unit-stride. 16-bit types gather the slot's
+/// value and x tiles, widen both to fp32 and FMA at unit stride.
+template <bool Subtract, typename T>
+inline void ell_rows_accumulate(const EllMatrix<T>& a, const T* __restrict xv,
+                                const local_index_t* __restrict rows,
+                                std::size_t len, accum_t<T>* __restrict acc) {
   const local_index_t* __restrict ci = a.col_idx.data();
   const T* __restrict av = a.values.data();
-  float vstage[kEllBlockRows];
-  float xstage[kEllBlockRows];
-  T vtile[kEllBlockRows];
-  T xtile[kEllBlockRows];
-  for (local_index_t s = 0; s < a.slots; ++s) {
-    const std::size_t base = static_cast<std::size_t>(s) *
-                             static_cast<std::size_t>(a.num_rows);
-    for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t at = base + static_cast<std::size_t>(rows[k]);
-      vtile[k] = av[at];
-      xtile[k] = xv[ci[at]];
-    }
-    widen_block(vtile, vstage, len);
-    widen_block(xtile, xstage, len);
+  const auto n = static_cast<std::size_t>(a.num_rows);
+  if constexpr (is_16bit_value_v<T>) {
+    T vtile[kEllBlockRows];
+    T xtile[kEllBlockRows];
+    float vstage[kEllBlockRows];
+    float xstage[kEllBlockRows];
+    for (local_index_t s = 0; s < a.slots; ++s) {
+      const std::size_t base = static_cast<std::size_t>(s) * n;
+      for (std::size_t k = 0; k < len; ++k) {
+        const std::size_t at = base + static_cast<std::size_t>(rows[k]);
+        vtile[k] = av[at];
+        xtile[k] = xv[ci[at]];
+      }
+      widen_block(vtile, vstage, len);
+      widen_block(xtile, xstage, len);
 #pragma omp simd
-    for (std::size_t k = 0; k < len; ++k) {
-      acc[k] += vstage[k] * xstage[k];
+      for (std::size_t k = 0; k < len; ++k) {
+        if constexpr (Subtract) {
+          acc[k] -= vstage[k] * xstage[k];
+        } else {
+          acc[k] += vstage[k] * xstage[k];
+        }
+      }
+    }
+  } else {
+    for (local_index_t s = 0; s < a.slots; ++s) {
+      const std::size_t base = static_cast<std::size_t>(s) * n;
+      for (std::size_t k = 0; k < len; ++k) {
+        const std::size_t at = base + static_cast<std::size_t>(rows[k]);
+        if constexpr (Subtract) {
+          acc[k] -= av[at] * xv[ci[at]];
+        } else {
+          acc[k] += av[at] * xv[ci[at]];
+        }
+      }
     }
   }
 }
@@ -167,161 +217,24 @@ template <typename T>
   return detail::ordered_sum(partial.data(), partial.size());
 }
 
-/// y[r] = (A x)[r] for r in rows only; other entries of y untouched.
-template <typename T>
-void csr_spmv_rows(const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
-                   std::span<const local_index_t> rows) {
-  const std::int64_t* __restrict rp = a.row_ptr.data();
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  const T* __restrict xv = x.data();
-  T* __restrict yv = y.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    const local_index_t r = rows[k];
-    accum_t<T> acc = accum_t<T>(0);
-    for (std::int64_t p = rp[r]; p < rp[r + 1]; ++p) {
-      acc += av[p] * xv[ci[p]];
-    }
-    yv[r] = acc;
-  }
-}
-
-/// Scalar (promote-through-float) ELL SpMV — the pre-staging loop, kept as
-/// the ablation baseline micro_kernels measures the staged path against,
-/// and the kernel the hardware types use (their "conversion" is free).
-template <typename T>
-void ell_spmv_scalar(const EllMatrix<T>& a, std::span<const T> x,
-                     std::span<T> y) {
-  HPGMX_CHECK(static_cast<local_index_t>(x.size()) >= a.num_cols);
-  HPGMX_CHECK(static_cast<local_index_t>(y.size()) >= a.num_rows);
-  const local_index_t n = a.num_rows;
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  const T* __restrict xv = x.data();
-  T* __restrict yv = y.data();
-  const local_index_t nblocks =
-      (n + detail::kEllBlockRows - 1) / detail::kEllBlockRows;
-#pragma omp parallel for schedule(static)
-  for (local_index_t blk = 0; blk < nblocks; ++blk) {
-    const local_index_t r0 = blk * detail::kEllBlockRows;
-    const local_index_t r1 = std::min(n, r0 + detail::kEllBlockRows);
-    accum_t<T> acc[detail::kEllBlockRows];
-    for (local_index_t r = r0; r < r1; ++r) {
-      acc[r - r0] = accum_t<T>(0);
-    }
-    for (local_index_t s = 0; s < a.slots; ++s) {
-      const std::size_t base = static_cast<std::size_t>(s) *
-                               static_cast<std::size_t>(n);
-      const local_index_t* cols = ci + base + static_cast<std::size_t>(r0);
-      for (local_index_t r = r0; r < r1; ++r) {
-        acc[r - r0] += av[base + static_cast<std::size_t>(r)] *
-                       xv[cols[r - r0]];
-      }
-    }
-    for (local_index_t r = r0; r < r1; ++r) {
-      yv[r] = acc[r - r0];
-    }
-  }
-}
-
-/// y = A x (ELL, slot-major). Blocked traversal: for each row block, slots
-/// are visited outer so every load of values/col_idx is unit-stride. 16-bit
-/// value types stream through the fp32 staging tiles (see file header); the
-/// hardware types keep the scalar loop, whose loads already are full-width.
-template <typename T>
-void ell_spmv(const EllMatrix<T>& a, std::span<const T> x, std::span<T> y) {
-  if constexpr (detail::is_16bit_value_v<T>) {
-    HPGMX_CHECK(static_cast<local_index_t>(x.size()) >= a.num_cols);
-    HPGMX_CHECK(static_cast<local_index_t>(y.size()) >= a.num_rows);
-    const local_index_t n = a.num_rows;
-    const T* __restrict xv = x.data();
-    T* __restrict yv = y.data();
-    const local_index_t nblocks =
-        (n + detail::kEllBlockRows - 1) / detail::kEllBlockRows;
-#pragma omp parallel for schedule(static)
-    for (local_index_t blk = 0; blk < nblocks; ++blk) {
-      const local_index_t r0 = blk * detail::kEllBlockRows;
-      const std::size_t len =
-          static_cast<std::size_t>(std::min(n, r0 + detail::kEllBlockRows) - r0);
-      float acc[detail::kEllBlockRows] = {};
-      detail::ell_block_accumulate_staged(a, xv, acc, r0, len);
-      narrow_block(acc, yv + r0, len);
-    }
-  } else {
-    ell_spmv_scalar(a, x, y);
-  }
-}
-
-/// Scalar row-list ELL SpMV (see ell_spmv_scalar).
-template <typename T>
-void ell_spmv_rows_scalar(const EllMatrix<T>& a, std::span<const T> x,
-                          std::span<T> y,
-                          std::span<const local_index_t> rows) {
-  const local_index_t n = a.num_rows;
-  const local_index_t* __restrict ci = a.col_idx.data();
-  const T* __restrict av = a.values.data();
-  const T* __restrict xv = x.data();
-  T* __restrict yv = y.data();
-  const std::size_t nk = rows.size();
-  const std::size_t block = static_cast<std::size_t>(detail::kEllBlockRows);
-  const std::size_t nblocks = (nk + block - 1) / block;
-#pragma omp parallel for schedule(static)
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t k0 = blk * block;
-    const std::size_t k1 = std::min(nk, k0 + block);
-    accum_t<T> acc[detail::kEllBlockRows];
-    for (std::size_t k = k0; k < k1; ++k) {
-      acc[k - k0] = accum_t<T>(0);
-    }
-    for (local_index_t s = 0; s < a.slots; ++s) {
-      const std::size_t base =
-          static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
-      for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t at = base + static_cast<std::size_t>(rows[k]);
-        acc[k - k0] += av[at] * xv[ci[at]];
-      }
-    }
-    for (std::size_t k = k0; k < k1; ++k) {
-      yv[rows[k]] = acc[k - k0];
-    }
-  }
-}
-
-/// y[r] = (A x)[r] for listed rows only (ELL). Blocked like ell_spmv: the
-/// slot loop runs outside a block of list entries so the slot-major value
-/// and column streams are walked in near-unit stride when the row list is
-/// (nearly) sorted — which interior/boundary lists are. 16-bit types take
-/// the staged path.
+/// y[r] = (A x)[r] for listed rows only (ELL); other entries of y are
+/// untouched. The row list should be sorted (interior/boundary lists are),
+/// so the blocked slot-major streams stay near-unit-stride.
 template <typename T>
 void ell_spmv_rows(const EllMatrix<T>& a, std::span<const T> x, std::span<T> y,
                    std::span<const local_index_t> rows) {
-  if constexpr (detail::is_16bit_value_v<T>) {
-    const T* __restrict xv = x.data();
-    T* __restrict yv = y.data();
-    const std::size_t nk = rows.size();
-    const std::size_t block = static_cast<std::size_t>(detail::kEllBlockRows);
-    const std::size_t nblocks = (nk + block - 1) / block;
-#pragma omp parallel for schedule(static)
-    for (std::size_t blk = 0; blk < nblocks; ++blk) {
-      const std::size_t k0 = blk * block;
-      const std::size_t len = std::min(nk, k0 + block) - k0;
-      float acc[detail::kEllBlockRows] = {};
-      detail::ell_block_accumulate_staged_rows(a, xv, acc, rows.data() + k0,
-                                               len);
-      T ytile[detail::kEllBlockRows];
-      narrow_block(acc, ytile, len);
-      for (std::size_t k = 0; k < len; ++k) {
-        yv[rows[k0 + k]] = ytile[k];
-      }
-    }
-  } else {
-    ell_spmv_rows_scalar(a, x, y, rows);
-  }
+  const T* __restrict xv = x.data();
+  T* __restrict yv = y.data();
+  detail::for_each_row_block(
+      rows, [&](std::size_t, const local_index_t* rws, std::size_t len) {
+        accum_t<T> acc[detail::kEllBlockRows] = {};
+        detail::ell_rows_accumulate<false>(a, xv, rws, len, acc);
+        detail::narrow_scatter(acc, rws, len, yv);
+      });
 }
 
 /// Fused row-list ELL SpMV + partial ⟨y, x⟩ over those rows (the spmv_dot
-/// solver kernel, optimized/overlap path: one call per interior/boundary
+/// solver kernel on the optimized path: one call per interior/boundary
 /// list). Returns the ordered per-block partial sum in double, computed
 /// from the stored (rounded) y — bit-identical to ell_spmv_rows followed by
 /// dot_rows_blocked(y, x, rows).
@@ -331,58 +244,22 @@ template <typename T>
                                        std::span<const local_index_t> rows) {
   const T* __restrict xv = x.data();
   T* __restrict yv = y.data();
-  const std::size_t nk = rows.size();
-  const std::size_t block = static_cast<std::size_t>(detail::kEllBlockRows);
-  const std::size_t nblocks = (nk + block - 1) / block;
-  AlignedVector<double> partial(nblocks, 0.0);
-#pragma omp parallel for schedule(static)
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t k0 = blk * block;
-    const std::size_t len = std::min(nk, k0 + block) - k0;
-    const local_index_t* __restrict rws = rows.data() + k0;
-    double p = 0.0;
-    if constexpr (detail::is_16bit_value_v<T>) {
-      float acc[detail::kEllBlockRows] = {};
-      detail::ell_block_accumulate_staged_rows(a, xv, acc, rws, len);
-      T ytile[detail::kEllBlockRows];
-      float ystage[detail::kEllBlockRows];
-      float xostage[detail::kEllBlockRows];
-      narrow_block(acc, ytile, len);
-      widen_block(ytile, ystage, len);  // the rounded value the dot must see
-      T xtile[detail::kEllBlockRows];
-      for (std::size_t k = 0; k < len; ++k) {
-        xtile[k] = xv[rws[k]];
-      }
-      widen_block(xtile, xostage, len);
-      for (std::size_t k = 0; k < len; ++k) {
-        yv[rws[k]] = ytile[k];
-        p = std::fma(static_cast<double>(ystage[k]),
-                     static_cast<double>(xostage[k]), p);
-      }
-    } else {
-      const local_index_t* __restrict ci = a.col_idx.data();
-      const T* __restrict av = a.values.data();
-      accum_t<T> acc[detail::kEllBlockRows];
-      for (std::size_t k = 0; k < len; ++k) {
-        acc[k] = accum_t<T>(0);
-      }
-      for (local_index_t s = 0; s < a.slots; ++s) {
-        const std::size_t base = static_cast<std::size_t>(s) *
-                                 static_cast<std::size_t>(a.num_rows);
+  AlignedVector<double> partial(detail::num_row_blocks(rows.size()), 0.0);
+  detail::for_each_row_block(
+      rows, [&](std::size_t blk, const local_index_t* rws, std::size_t len) {
+        accum_t<T> acc[detail::kEllBlockRows] = {};
+        detail::ell_rows_accumulate<false>(a, xv, rws, len, acc);
+        detail::narrow_scatter(acc, rws, len, yv);
+        detail::gather_widen(yv, rws, len, acc);  // the rounded y
+        accum_t<T> xo[detail::kEllBlockRows];
+        detail::gather_widen(xv, rws, len, xo);
+        double p = 0.0;
         for (std::size_t k = 0; k < len; ++k) {
-          const std::size_t at = base + static_cast<std::size_t>(rws[k]);
-          acc[k] += av[at] * xv[ci[at]];
+          p = std::fma(static_cast<double>(acc[k]),
+                       static_cast<double>(xo[k]), p);
         }
-      }
-      for (std::size_t k = 0; k < len; ++k) {
-        const local_index_t r = rws[k];
-        yv[r] = acc[k];
-        p = std::fma(static_cast<double>(yv[r]),
-                   static_cast<double>(xv[r]), p);
-      }
-    }
-    partial[blk] = p;
-  }
+        partial[blk] = p;
+      });
   return detail::ordered_sum(partial.data(), partial.size());
 }
 
@@ -474,32 +351,6 @@ void fused_restrict_residual(const CsrMatrix<T>& a_fine, std::span<const T> b,
       acc -= av[p] * xv[ci[p]];
     }
     rcv[i] = static_cast<TOut>(acc);
-  }
-}
-
-/// Subset variant of the fused kernel for overlap: only coarse points whose
-/// fine row is in the given list are computed.
-template <typename T>
-void fused_restrict_residual_subset(const CsrMatrix<T>& a_fine,
-                                    std::span<const T> b, std::span<const T> x,
-                                    std::span<const local_index_t> c2f,
-                                    std::span<T> rc,
-                                    std::span<const local_index_t> coarse_ids) {
-  const std::int64_t* __restrict rp = a_fine.row_ptr.data();
-  const local_index_t* __restrict ci = a_fine.col_idx.data();
-  const T* __restrict av = a_fine.values.data();
-  const T* __restrict xv = x.data();
-  const T* __restrict bv = b.data();
-  T* __restrict rcv = rc.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t k = 0; k < coarse_ids.size(); ++k) {
-    const local_index_t i = coarse_ids[k];
-    const local_index_t fr = c2f[static_cast<std::size_t>(i)];
-    accum_t<T> acc = bv[fr];
-    for (std::int64_t p = rp[fr]; p < rp[fr + 1]; ++p) {
-      acc -= av[p] * xv[ci[p]];
-    }
-    rcv[i] = acc;
   }
 }
 

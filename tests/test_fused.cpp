@@ -6,9 +6,10 @@
 // then blocked dot in a second sweep) *bit for bit*, for every storage
 // format and both operator paths.
 //
-// The staged 16-bit ELL SpMV / colored-GS paths are checked against the
-// scalar promote-through-float loops they replace (same arithmetic order,
-// so agreement up to FMA-contraction-level differences).
+// The 16-bit ELL row-list SpMV / colored-GS kernels (fp32-widened tiles)
+// are checked against the same-format CSR kernels, the scalar
+// promote-through-float references that sum each row in the same order
+// (agreement up to FMA-contraction-level differences).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -169,7 +170,7 @@ TYPED_TEST(FusedKernels, WaxpbyNormAllowsInPlaceUpdate) {
 }
 
 // ---------------------------------------------------------------------------
-// Staged 16-bit kernels vs the scalar promote-through-float loops
+// 16-bit ELL kernels vs the scalar promote-through-float CSR kernels
 
 template <typename T>
 class Staged16 : public ::testing::Test {};
@@ -185,12 +186,18 @@ TYPED_TEST(Staged16, EllSpmvMatchesScalarPath) {
   const EllMatrix<T> e = ell_from_csr(a);
   AlignedVector<T> x(static_cast<std::size_t>(e.num_cols), T(0));
   fill_pattern(std::span<T>(x.data(), x.size()));
+  AlignedVector<local_index_t> all_rows(static_cast<std::size_t>(e.num_rows));
+  for (std::size_t i = 0; i < all_rows.size(); ++i) {
+    all_rows[i] = static_cast<local_index_t>(i);
+  }
   AlignedVector<T> y_staged(static_cast<std::size_t>(e.num_rows), T(0));
   AlignedVector<T> y_scalar(static_cast<std::size_t>(e.num_rows), T(0));
-  ell_spmv(e, std::span<const T>(x.data(), x.size()),
-           std::span<T>(y_staged.data(), y_staged.size()));
-  ell_spmv_scalar(e, std::span<const T>(x.data(), x.size()),
-                  std::span<T>(y_scalar.data(), y_scalar.size()));
+  ell_spmv_rows(e, std::span<const T>(x.data(), x.size()),
+                std::span<T>(y_staged.data(), y_staged.size()),
+                std::span<const local_index_t>(all_rows.data(),
+                                               all_rows.size()));
+  csr_spmv(a, std::span<const T>(x.data(), x.size()),
+           std::span<T>(y_scalar.data(), y_scalar.size()));
   // Same accumulation order in fp32; only FMA-contraction details may
   // differ before the final 16-bit rounding, so allow one output ulp.
   const float ulp = static_cast<float>(PrecisionTraits<T>::unit_roundoff) * 2;
@@ -214,9 +221,8 @@ TYPED_TEST(Staged16, ColoredGsMatchesScalarPath) {
   AlignedVector<T> z_scalar(static_cast<std::size_t>(e.num_cols), T(0));
   gs_sweep_colored_ell(e, st.colors, std::span<const T>(r.data(), r.size()),
                        std::span<T>(z_staged.data(), z_staged.size()));
-  gs_sweep_colored_ell_scalar(e, st.colors,
-                              std::span<const T>(r.data(), r.size()),
-                              std::span<T>(z_scalar.data(), z_scalar.size()));
+  gs_sweep_colored(a, st.colors, std::span<const T>(r.data(), r.size()),
+                   std::span<T>(z_scalar.data(), z_scalar.size()));
   const float ulp = static_cast<float>(PrecisionTraits<T>::unit_roundoff) * 2;
   for (std::size_t i = 0; i < z_staged.size(); ++i) {
     const float s = static_cast<float>(z_staged[i]);

@@ -160,10 +160,10 @@ void expect_overlap_bit_identity() {
   });
 }
 
-TEST(OverlapBitIdentity, Fp64Idx32) { expect_overlap_bit_identity<double>(); }
-TEST(OverlapBitIdentity, Fp32Idx32) { expect_overlap_bit_identity<float>(); }
-TEST(OverlapBitIdentity, Bf16Idx32) { expect_overlap_bit_identity<bf16_t>(); }
-TEST(OverlapBitIdentity, Fp16Idx32) { expect_overlap_bit_identity<fp16_t>(); }
+TEST(OverlapBitIdentity, Fp64) { expect_overlap_bit_identity<double>(); }
+TEST(OverlapBitIdentity, Fp32) { expect_overlap_bit_identity<float>(); }
+TEST(OverlapBitIdentity, Bf16) { expect_overlap_bit_identity<bf16_t>(); }
+TEST(OverlapBitIdentity, Fp16) { expect_overlap_bit_identity<fp16_t>(); }
 
 // ---------------------------------------------------------------------------
 // Solver-level equivalence: a full GMRES-IR solve under each configuration.

@@ -491,8 +491,23 @@ TEST(ServiceResilience, DeadlineIsRankConsistentAcrossServiceRanks) {
   req.desc.ranks = 4;
   req.desc.tol = 1e-30;  // unreachable: runs until the deadline trips
   req.desc.max_iters = 1000000;
+
+  // Warm the operator cache for this exact descriptor first, with a
+  // cancellable request that is cancelled once its entry is cached, so the
+  // 20 ms deadline below can only trip inside the solve and never during
+  // the cold 4-rank build (which a sanitizer build can make slower).
+  SolveRequest warm = req;
+  warm.cancel = std::make_shared<CancelToken>();
+  std::future<ServiceResult> warming = svc.submit(warm);
+  while (svc.cache_stats().entries == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  warm.cancel->cancel();
+  (void)warming.get();
+
   req.deadline = Deadline::after(0.02);
   const ServiceResult res = svc.solve_now(req);
+  EXPECT_TRUE(res.cache_hit);
   EXPECT_EQ(res.status, SolveStatus::DeadlineExceeded);
   ASSERT_EQ(res.rhs.size(), 1u);
   EXPECT_EQ(res.rhs[0].status, SolveStatus::DeadlineExceeded);

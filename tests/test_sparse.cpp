@@ -96,7 +96,16 @@ TEST(Spmv, CsrMatchesDenseOracle) {
   EXPECT_DOUBLE_EQ(y[3], -3 + 16.0);
 }
 
-/// ELL SpMV must reproduce CSR SpMV on `a` for a random x.
+/// The row list 0..n-1: what the row-list kernels take to cover every row.
+AlignedVector<local_index_t> all_rows(local_index_t n) {
+  AlignedVector<local_index_t> rows(static_cast<std::size_t>(n));
+  for (local_index_t r = 0; r < n; ++r) {
+    rows[static_cast<std::size_t>(r)] = r;
+  }
+  return rows;
+}
+
+/// ELL SpMV over all rows must reproduce CSR SpMV on `a` for a random x.
 void expect_ell_equals_csr(const CsrMatrix<double>& a) {
   const EllMatrix<double> e = ell_from_csr(a);
   std::mt19937_64 rng(7);
@@ -109,8 +118,10 @@ void expect_ell_equals_csr(const CsrMatrix<double>& a) {
   AlignedVector<double> y_ell(static_cast<std::size_t>(a.num_rows), 0);
   csr_spmv(a, std::span<const double>(x.data(), x.size()),
            std::span<double>(y_csr.data(), y_csr.size()));
-  ell_spmv(e, std::span<const double>(x.data(), x.size()),
-           std::span<double>(y_ell.data(), y_ell.size()));
+  const AlignedVector<local_index_t> rows = all_rows(a.num_rows);
+  ell_spmv_rows(e, std::span<const double>(x.data(), x.size()),
+                std::span<double>(y_ell.data(), y_ell.size()),
+                std::span<const local_index_t>(rows.data(), rows.size()));
   for (std::size_t i = 0; i < y_csr.size(); ++i) {
     ASSERT_NEAR(y_csr[i], y_ell[i], 1e-12) << "row " << i;
   }
@@ -160,7 +171,7 @@ TEST_P(SpmvGridSizes, RowSubsetVariantsCoverAllRows) {
   ell_spmv_rows(e, std::span<const double>(x.data(), x.size()),
                 std::span<double>(y_split.data(), y_split.size()),
                 std::span<const local_index_t>(evens.data(), evens.size()));
-  csr_spmv_rows(prob.a, std::span<const double>(x.data(), x.size()),
+  ell_spmv_rows(e, std::span<const double>(x.data(), x.size()),
                 std::span<double>(y_split.data(), y_split.size()),
                 std::span<const local_index_t>(odds.data(), odds.size()));
   for (std::size_t i = 0; i < y_full.size(); ++i) {
@@ -219,22 +230,6 @@ TEST(FusedRestrict, MatchesUnfusedPath) {
       std::span<double>(rc.data(), rc.size()));
   for (std::size_t i = 0; i < rc.size(); ++i) {
     ASSERT_NEAR(rc[i], rc_oracle[i], 1e-12);
-  }
-
-  // Subset variant over all coarse ids must agree too.
-  AlignedVector<double> rc_sub(cl.c2f.size(), -7.0);
-  AlignedVector<local_index_t> all_ids(cl.c2f.size());
-  for (std::size_t i = 0; i < all_ids.size(); ++i) {
-    all_ids[i] = static_cast<local_index_t>(i);
-  }
-  fused_restrict_residual_subset(
-      fine.a, std::span<const double>(b.data(), b.size()),
-      std::span<const double>(x.data(), x.size()),
-      std::span<const local_index_t>(cl.c2f.data(), cl.c2f.size()),
-      std::span<double>(rc_sub.data(), rc_sub.size()),
-      std::span<const local_index_t>(all_ids.data(), all_ids.size()));
-  for (std::size_t i = 0; i < rc.size(); ++i) {
-    ASSERT_NEAR(rc_sub[i], rc[i], 1e-12);
   }
 }
 
