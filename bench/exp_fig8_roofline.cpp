@@ -6,6 +6,8 @@
 // Reproduction: measure this host's STREAM roof, time each kernel in both
 // precisions, compute (AI, GFLOP/s) from the FLOP/bytes models, and print
 // the %-of-roof column that encodes the paper's claim.
+#include <numeric>
+
 #include "blas/multivector.hpp"
 #include "coloring/coloring.hpp"
 #include "core/bytes_model.hpp"
@@ -45,9 +47,7 @@ void add_kernels(std::vector<KernelSample>& out, const Problem& prob,
   AlignedVector<T> y(static_cast<std::size_t>(n), T(0));
   AlignedVector<T> b(static_cast<std::size_t>(n), T(1));
   AlignedVector<local_index_t> rows(static_cast<std::size_t>(n));
-  for (local_index_t r = 0; r < n; ++r) {
-    rows[static_cast<std::size_t>(r)] = r;  // every row: one rank's list
-  }
+  std::iota(rows.begin(), rows.end(), local_index_t{0});  // every row
 
   out.push_back(time_kernel<T>(
       (std::string("GS-multicolor-") + suffix).c_str(),

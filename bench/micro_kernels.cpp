@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -100,15 +101,6 @@ Problem make_problem(local_index_t n) {
   return generate_problem(pgrid, 0, pp);
 }
 
-/// The row list 0..n-1: the row-list kernels over every row.
-AlignedVector<local_index_t> all_rows(local_index_t n) {
-  AlignedVector<local_index_t> rows(static_cast<std::size_t>(n));
-  for (local_index_t r = 0; r < n; ++r) {
-    rows[static_cast<std::size_t>(r)] = r;
-  }
-  return rows;
-}
-
 template <typename T>
 void add_spmv(std::vector<Row>& out, const Problem& prob, double target) {
   const CsrMatrix<T> a = prob.a.convert<T>();
@@ -125,7 +117,8 @@ void add_spmv(std::vector<Row>& out, const Problem& prob, double target) {
              std::span<T>(y.data(), y.size()));
   }));
   const double ell_b = spmv_bytes(e.padded_nnz(), n, vb);
-  const AlignedVector<local_index_t> rows = all_rows(n);
+  AlignedVector<local_index_t> rows(static_cast<std::size_t>(n));
+  std::iota(rows.begin(), rows.end(), local_index_t{0});
   out.push_back(make_row("spmv_ell", fmt, "rowlist", ell_b, n, target, [&] {
     ell_spmv_rows(e, std::span<const T>(x.data(), x.size()),
                   std::span<T>(y.data(), y.size()),

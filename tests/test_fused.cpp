@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #ifdef _OPENMP
@@ -187,9 +188,7 @@ TYPED_TEST(Staged16, EllSpmvMatchesScalarPath) {
   AlignedVector<T> x(static_cast<std::size_t>(e.num_cols), T(0));
   fill_pattern(std::span<T>(x.data(), x.size()));
   AlignedVector<local_index_t> all_rows(static_cast<std::size_t>(e.num_rows));
-  for (std::size_t i = 0; i < all_rows.size(); ++i) {
-    all_rows[i] = static_cast<local_index_t>(i);
-  }
+  std::iota(all_rows.begin(), all_rows.end(), local_index_t{0});
   AlignedVector<T> y_staged(static_cast<std::size_t>(e.num_rows), T(0));
   AlignedVector<T> y_scalar(static_cast<std::size_t>(e.num_rows), T(0));
   ell_spmv_rows(e, std::span<const T>(x.data(), x.size()),

@@ -2,6 +2,7 @@
 // restriction kernels, row partitions, level scheduling.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 
 #include "grid/problem.hpp"
@@ -96,15 +97,6 @@ TEST(Spmv, CsrMatchesDenseOracle) {
   EXPECT_DOUBLE_EQ(y[3], -3 + 16.0);
 }
 
-/// The row list 0..n-1: what the row-list kernels take to cover every row.
-AlignedVector<local_index_t> all_rows(local_index_t n) {
-  AlignedVector<local_index_t> rows(static_cast<std::size_t>(n));
-  for (local_index_t r = 0; r < n; ++r) {
-    rows[static_cast<std::size_t>(r)] = r;
-  }
-  return rows;
-}
-
 /// ELL SpMV over all rows must reproduce CSR SpMV on `a` for a random x.
 void expect_ell_equals_csr(const CsrMatrix<double>& a) {
   const EllMatrix<double> e = ell_from_csr(a);
@@ -118,7 +110,8 @@ void expect_ell_equals_csr(const CsrMatrix<double>& a) {
   AlignedVector<double> y_ell(static_cast<std::size_t>(a.num_rows), 0);
   csr_spmv(a, std::span<const double>(x.data(), x.size()),
            std::span<double>(y_csr.data(), y_csr.size()));
-  const AlignedVector<local_index_t> rows = all_rows(a.num_rows);
+  AlignedVector<local_index_t> rows(static_cast<std::size_t>(a.num_rows));
+  std::iota(rows.begin(), rows.end(), local_index_t{0});
   ell_spmv_rows(e, std::span<const double>(x.data(), x.size()),
                 std::span<double>(y_ell.data(), y_ell.size()),
                 std::span<const local_index_t>(rows.data(), rows.size()));
